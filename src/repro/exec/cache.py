@@ -23,6 +23,13 @@ are migrated into the shards once (idempotently, stamped in the ledger).
 Corrupt or truncated entries are quarantined with a warning and treated
 as misses; writes are atomic (``*.tmp`` + ``os.replace``); the store can
 be size-bounded with LRU eviction (see docs/serving.md).
+
+Persisting has two halves. :meth:`ResultCache.flush` writes the dirty
+entries and, if it wrote any, evicts down to the bounds; its cost
+follows the entries written, so a long-lived caller (the serve daemon,
+after every chunk) can run it often. :meth:`ResultCache.save` flushes
+and then derives the store ledger from a full scan; one-shot sweeps and
+``Executor.close()`` call it once at the end.
 """
 
 from __future__ import annotations
@@ -109,7 +116,8 @@ class ResultCache:
 
     The API is unchanged from the flat-file era — ``get``/``put`` by
     payload, ``save()``, ``len()`` — so exec/tune callers are untouched;
-    only the on-disk layout moved to sharded per-entry files. ``len()``
+    only the on-disk layout moved to sharded per-entry files, and
+    ``flush()`` persists without deriving the ledger. ``len()``
     and lookups cover the *current* ``SIM_VERSION`` generation only;
     stale generations are invisible (and reclaimed by eviction).
     """
@@ -168,15 +176,27 @@ class ResultCache:
         }
         self._dirty.add(digest)
 
-    def save(self) -> None:
-        """Flush dirty entries to the sharded store, run eviction, and
-        refresh the ledger. A no-op without a backing path."""
-        if self.store is None:
-            return
+    def flush(self) -> int:
+        """Write dirty entries to the sharded store and, if any were
+        written, evict down to the bounds; returns how many were
+        written. Never derives the ledger, so a call that has nothing to
+        write touches no file. A no-op without a backing path."""
+        if self.store is None or not self._dirty:
+            return 0
         for digest in sorted(self._dirty):
             self.store.write(SIM_VERSION, digest, self.entries[digest])
+        written = len(self._dirty)
         self._dirty.clear()
         self.store.evict()
+        return written
+
+    def save(self) -> None:
+        """Flush, run eviction, and derive the ledger from a scan of the
+        store. A no-op without a backing path."""
+        if self.store is None:
+            return
+        if not self.flush():
+            self.store.evict()
         self.store.save_ledger()
 
     def stats(self) -> CacheStats:

@@ -23,7 +23,14 @@ Properties the serving layer (and concurrent sweeps) rely on:
   advisory summary, recomputed from a shard scan on every
   :meth:`save_ledger`, so two processes writing and evicting the same
   root cannot double-count bytes or lose entries: whichever ledger write
-  lands last describes the actual files.
+  lands last describes the actual files. Deriving it walks the whole
+  store, so callers derive it when they finish (the serve daemon at
+  drain and close, one-shot sweeps on ``save()``), not per chunk.
+* **Writes cost the entry, not the store** — :meth:`write` touches one
+  file and adds its digest to the per-generation digest set, which is
+  scanned lazily at most once per :meth:`refresh` and then kept current
+  by this process's own writes (an eviction that removed entries
+  refreshes it).
 * **LRU eviction** — when ``max_entries``/``max_bytes`` bounds are set,
   the oldest entries (by file mtime; reads refresh it) are unlinked
   until the store fits. Stale ``SIM_VERSION`` generations age out the
@@ -136,8 +143,7 @@ class ShardedStore:
         """Atomically persist one entry; returns its path."""
         path = self.entry_path(version, digest)
         _atomic_write_json(path, entry)
-        self._digests.setdefault(version, self._scan_digests(version))
-        self._digests[version].add(digest)
+        self.digests(version).add(digest)
         return path
 
     def contains(self, version: int, digest: str) -> bool:

@@ -11,14 +11,17 @@ blocks a concurrent ``tables`` lookup.
 Scheduling is tenant-fair (:class:`~repro.serve.queue.FairScheduler`):
 jobs are split into bounded chunks and chunk execution round-robins
 across tenants, with per-chunk progress events streamed back to each
-submitter. After every chunk the result cache is flushed (atomic,
-sharded, size-bounded — see docs/serving.md), so even a ``kill -9`` of
-the daemon loses at most the chunk in flight.
+submitter. After every chunk the entries it computed are flushed to the
+result store (atomic, sharded, size-bounded — see docs/serving.md), so
+even a ``kill -9`` of the daemon loses at most the chunk in flight. The
+flush costs the entries written: a chunk answered from the store writes
+nothing and walks nothing.
 
 Graceful shutdown (the ``shutdown`` op, SIGINT or SIGTERM) stops
-accepting new jobs, *drains* everything already accepted, flushes the
-store ledger and only then exits — clients with queued work see their
-``done`` events, not a dropped connection.
+accepting new jobs, *drains* everything already accepted, derives the
+store ledger by scan and only then exits — clients with queued work see
+their ``done`` events, not a dropped connection. A killed daemon leaves
+the ledger stale; the next daemon's drain rewrites it.
 """
 
 from __future__ import annotations
@@ -194,7 +197,7 @@ class ServeDaemon:
             finally:
                 self._busy = False
             self.scheduler.record(job, indices, results)
-            self.executor.cache.save()    # crash loses at most one chunk
+            self.executor.cache.flush()   # crash loses at most one chunk
             self.telemetry.chunk_finished(job, indices, results,
                                           time.monotonic() - chunk_t0)
             self.telemetry.scrape_cache(self.executor.cache.stats())

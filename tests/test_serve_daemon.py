@@ -8,12 +8,18 @@ sun_path limit rules out pytest's deep tmp_path).
 import asyncio
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
+import warnings
 
 import pytest
 
-from repro.exec import Executor, RunRequest, SIM_VERSION
+import repro
+from repro.exec import Executor, ResultCache, RunRequest, SIM_VERSION
+from repro.exec.store import ShardedStore
 from repro.serve import (PROTOCOL_VERSION, ServeClient, ServeDaemon,
                          ServeError, ServeUnreachable)
 from repro.tune.table import DecisionTable
@@ -331,3 +337,185 @@ def test_request_ledger_written_per_job(served):
     assert jobs[0]["tenant"] == "alice"
     assert jobs[0]["requests"] == 2
     assert len(jobs[0]["request_hashes"]) == 2
+
+
+# -- store work follows the chunk, not the store --------------------------
+
+
+def _populate(root, n):
+    """Write ``n`` entries straight into the store (no simulation) and
+    return their payloads; a daemon over ``root`` serves them as hits."""
+    payloads = _payloads(sizes=tuple(100_000 + i for i in range(n)))
+    cache = ResultCache(root)
+    for i, payload in enumerate(payloads):
+        cache.put(payload, 1e-6 * (i + 1))
+    cache.save()
+    return payloads
+
+
+def _count_store_walks(monkeypatch):
+    """Record every full-store walk (``scan``) and every digest-set scan
+    (``_scan_digests``, by generation) made from now on."""
+    calls = {"scan": 0, "scan_digests": []}
+    scan, scan_digests = ShardedStore.scan, ShardedStore._scan_digests
+
+    def counted_scan(self):
+        calls["scan"] += 1
+        return scan(self)
+
+    def counted_scan_digests(self, version):
+        calls["scan_digests"].append(version)
+        return scan_digests(self, version)
+
+    monkeypatch.setattr(ShardedStore, "scan", counted_scan)
+    monkeypatch.setattr(ShardedStore, "_scan_digests", counted_scan_digests)
+    return calls
+
+
+def test_store_walks_follow_work_not_store_size(monkeypatch):
+    fixture = DaemonFixture(workers=0, batch_size=4)
+    root = os.path.join(fixture.dir, "cache")
+    stored = _populate(root, 200)
+    calls = _count_store_walks(monkeypatch)
+    fixture.start()
+    try:
+        with ServeClient(fixture.socket_path) as client:
+            for job in range(3):
+                warm = client.submit(stored[job * 8:(job + 1) * 8])
+                assert warm["stats"]["cached"] == 8
+                assert all(r["provenance"]["cache"] == "hit"
+                           for r in warm["results"])
+        # Warm-only chunks write nothing, so they never walk the store;
+        # the digest set is listed at most once, lazily.
+        assert calls["scan"] == 0
+        assert calls["scan_digests"].count(SIM_VERSION) <= 1
+
+        cold_payloads = _payloads(sizes=(64, 96, 128, 160, 192))
+        with ServeClient(fixture.socket_path) as client:
+            cold = client.submit(cold_payloads)
+        assert cold["stats"]["new"] == len(cold_payloads)
+        # Writing M entries rescans no shard directory per write.
+        assert calls["scan"] == 0
+        assert calls["scan_digests"].count(SIM_VERSION) <= 1
+
+        with ServeClient(fixture.socket_path) as client:
+            client.shutdown()
+        fixture.thread.join(timeout=10)
+        # The drain derives the ledger from the files.
+        store = ShardedStore(root)
+        ledger = store.load_ledger()
+        assert (ledger["entries"], ledger["bytes"]) == store.totals()
+        assert ledger["entries"] == 200 + len(cold_payloads)
+    finally:
+        fixture.stop()
+
+
+def _spawn_daemon(socket_path, root, state_dir):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    log_path = os.path.join(state_dir, "daemon.log")
+    with open(log_path, "w") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "start",
+             "--socket", socket_path, "--cache", root,
+             "--state-dir", state_dir, "--parallel", "0",
+             "--batch-size", "1"],
+            env=env, stdout=log, stderr=subprocess.STDOUT)
+    for _ in range(1000):
+        if proc.poll() is not None:
+            with open(log_path) as log:
+                raise RuntimeError(log.read())
+        if os.path.exists(socket_path):
+            try:
+                with ServeClient(socket_path, timeout=5) as client:
+                    client.ping()
+                return proc
+            except ServeError:
+                pass
+        threading.Event().wait(0.02)
+    proc.kill()
+    raise RuntimeError("daemon never answered ping")
+
+
+def test_killed_daemon_keeps_every_answered_entry():
+    fixture = DaemonFixture(workers=0)
+    root = os.path.join(fixture.dir, "cache")
+    _populate(root, 3)                  # the ledger now says 3 entries
+    jobs = [_payloads(sizes=(64 + i, 1024 + i)) for i in range(3)]
+    proc = _spawn_daemon(os.path.join(fixture.dir, "k.sock"), root,
+                         fixture.dir)
+    try:
+        answered = []
+        with ServeClient(os.path.join(fixture.dir, "k.sock"),
+                         timeout=60) as client:
+            for payloads in jobs:
+                done = client.submit(payloads)
+                assert done["stats"]["errors"] == 0
+                answered.extend(done["results"])
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+
+    # Every answered request is on disk, whole and readable.
+    store = ShardedStore(root)
+    for result in answered:
+        entry = store.read(SIM_VERSION, result["provenance"]["request_hash"])
+        assert entry is not None
+        assert entry["latency_s"] == result["latency_s"]
+    # The killed daemon never derived a ledger; it still says 3.
+    assert store.load_ledger()["entries"] == 3
+
+    fixture.start()
+    try:
+        with ServeClient(fixture.socket_path) as client:
+            for payloads in jobs:
+                warm = client.submit(payloads)
+                assert all(r["provenance"]["cache"] == "hit"
+                           for r in warm["results"])
+            client.shutdown()
+        fixture.thread.join(timeout=10)
+        ledger = store.load_ledger()
+        assert (ledger["entries"], ledger["bytes"]) == store.totals()
+        assert ledger["entries"] == 3 + len(answered)
+    finally:
+        fixture.stop()
+
+
+def test_bounded_store_evicts_only_after_chunks_that_wrote(monkeypatch):
+    fixture = DaemonFixture(workers=0, batch_size=2, max_entries=3)
+    root = os.path.join(fixture.dir, "cache")
+    evicts = []
+    evict = ShardedStore.evict
+
+    def counted_evict(self):
+        evicts.append(self.root)
+        return evict(self)
+
+    monkeypatch.setattr(ShardedStore, "evict", counted_evict)
+    fixture.start()
+    payloads = _payloads(sizes=(64, 96, 128, 160, 192, 224))
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with ServeClient(fixture.socket_path) as client:
+                cold = client.submit(payloads)
+        assert cold["stats"]["new"] == len(payloads)
+        # Three cold chunks, each wrote and evicted; the bound holds.
+        assert len(evicts) == 3
+        assert ShardedStore(root).totals()[0] <= 3
+        evicted = fixture.daemon.executor.cache.store.evictions_total
+        assert evicted == len(payloads) - 3
+
+        evicts.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with ServeClient(fixture.socket_path) as client:
+                warm = client.submit(payloads)
+        assert warm["stats"]["cached"] == len(payloads)
+        # Warm chunks wrote nothing: no eviction pass, no warning.
+        assert evicts == []
+        assert fixture.daemon.executor.cache.store.evictions_total == evicted
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+    finally:
+        fixture.stop()
