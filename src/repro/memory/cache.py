@@ -69,9 +69,6 @@ class CacheLevel:
     def high_water(self, buf: "Buffer") -> int:
         return self._hw.get(buf.id, 0)
 
-    def footprint(self, buf: "Buffer") -> int:
-        return min(self._hw.get(buf.id, 0), self.capacity)
-
     def hit_bytes(self, buf: "Buffer", offset: int, length: int) -> int:  # hot-path
         """Bytes of ``[offset, offset+length)`` resident here (the trailing
         window of the buffer's prefix)."""
@@ -86,9 +83,6 @@ class CacheLevel:
             hi = hw
         n = hi - lo
         return n if n > 0 else 0
-
-    def holds_any(self, buf: "Buffer") -> bool:
-        return buf.id in self._hw
 
     @property
     def used(self) -> int:
@@ -200,47 +194,6 @@ class CacheSystem:
     def holders_of(self, buf: "Buffer"):
         return self._holders.get(buf.id, {}).values()
 
-    def span_signature(self, buf: "Buffer", off: int, length: int) -> tuple:  # hot-path
-        """Cache-state signature of reading ``buf[off:off+length)``.
-
-        A flat tuple alternating ``(cache_level_id, hit_bytes)`` over the
-        holders that cover any of the span, *in directory insertion
-        order* — exactly what source selection
-        (:meth:`~repro.node.Node._cache_source_span`) consumes: which
-        caches can serve the span, how much of it each covers, and the
-        deterministic tie-break order. Distances, routes and capacities
-        are static per cache level, so two calls with equal keys and
-        equal span signatures price identically.
-
-        Deliberately span-relative rather than a hash of raw high-water
-        marks: benchmark iterations leave trails of slightly different
-        high waters that all cover a chunk identically, and those should
-        compare equal. (:class:`~repro.node.Node` memoizes pricing by the
-        even-coarser *selected source* — see
-        :meth:`~repro.node.Node.copy_terms_span` — because directory
-        insertion order still churns this signature across iterations;
-        the signature remains the full pricing-relevant state and is the
-        reference for what the winner key must pin.)
-        """
-        holders = self._holders.get(buf.id)
-        if not holders:
-            return ()
-        buf_id = buf.id
-        end = off + length
-        parts = []  # lint: disable=RC106 - the signature being built
-        for level in holders.values():
-            # Inlined CacheLevel.hit_bytes (the directory guarantees
-            # presence, so no .get, and the span is known positive).
-            hw = level._hw[buf_id]
-            lo = hw - level.capacity
-            if lo < off:
-                lo = off
-            hi = hw if hw < end else end
-            if hi > lo:
-                parts.append(level.id)
-                parts.append(hi - lo)
-        return tuple(parts)
-
     # -- read/write accounting ---------------------------------------------
 
     def record_read(self, core: int, buf: "Buffer", upto: int) -> None:  # hot-path
@@ -254,6 +207,7 @@ class CacheSystem:
             return
         buf_id = buf.id
         size = buf.size
+        all_holders = self._holders
         level = self.private[core]
         while True:  # private level, then the shared level if any
             hw = level._hw
@@ -266,23 +220,41 @@ class CacheSystem:
                 cap = level.capacity
                 level._total += ((new if new < cap else cap)
                                  - (old if old < cap else cap))
-                holders = self._holders.get(buf_id)
+                holders = all_holders.get(buf_id)
                 if holders is None:
-                    self._holders[buf_id] = {level.id: level}  # lint: disable=RC106
+                    all_holders[buf_id] = {level.id: level}  # lint: disable=RC106
                 else:
                     holders[level.id] = level
                 if level._total > cap:
-                    level._evict(self, keep=buf_id)
+                    # Inlined first round of _evict: buf_id was just
+                    # re-queued last, so the oldest entry is another
+                    # buffer unless it is the only one.
+                    victim_id = next(iter(hw))
+                    if victim_id != buf_id:
+                        victim_hw = hw.pop(victim_id)
+                        level._total -= (victim_hw if victim_hw < cap
+                                         else cap)
+                        victim_holders = all_holders.get(victim_id)
+                        if victim_holders is not None:
+                            victim_holders.pop(level.id, None)
+                        if level._total > cap:
+                            level._evict(self, keep=buf_id)
             shared = self._shared_of_core[core]
             if shared is None or level is shared:
                 return
             level = shared
 
     def record_write(self, core: int, buf: "Buffer", upto: int) -> None:  # hot-path
-        """A core wrote the prefix up to ``upto``: peer copies invalidate."""
+        """A core wrote the prefix up to ``upto``: peer copies invalidate.
+
+        Equivalent to ``invalidate`` on every other holder, then
+        ``insert`` on the writer's private and shared levels, with the
+        bodies inlined as in :meth:`record_read`."""
         writer_private = self.private[core]
         writer_shared = self._shared_of_core[core]
-        holders = self._holders.get(buf.id)
+        buf_id = buf.id
+        all_holders = self._holders
+        holders = all_holders.get(buf_id)
         if holders:
             stale = None
             for level in holders.values():
@@ -293,10 +265,46 @@ class CacheSystem:
                         stale.append(level)
             if stale is not None:
                 for level in stale:
-                    level.invalidate(buf, self)
-        writer_private.insert(buf, upto, self)
-        if writer_shared is not None:
-            writer_shared.insert(buf, upto, self)
+                    old = level._hw.pop(buf_id, None)
+                    if old is not None:
+                        cap = level.capacity
+                        level._total -= old if old < cap else cap
+                        holders.pop(level.id, None)
+        if upto <= 0:
+            return
+        size = buf.size
+        level = writer_private
+        while True:  # private level, then the shared level if any
+            hw = level._hw
+            old = hw.pop(buf_id, 0)
+            new = old if old >= upto else upto
+            if new > size:
+                new = size
+            hw[buf_id] = new
+            if new != old:  # else: pure LRU touch, bookkeeping unchanged
+                cap = level.capacity
+                level._total += ((new if new < cap else cap)
+                                 - (old if old < cap else cap))
+                holders = all_holders.get(buf_id)
+                if holders is None:
+                    all_holders[buf_id] = {level.id: level}  # lint: disable=RC106
+                else:
+                    holders[level.id] = level
+                if level._total > cap:
+                    # The one-victim eviction inlined, as in record_read.
+                    victim_id = next(iter(hw))
+                    if victim_id != buf_id:
+                        victim_hw = hw.pop(victim_id)
+                        level._total -= (victim_hw if victim_hw < cap
+                                         else cap)
+                        victim_holders = all_holders.get(victim_id)
+                        if victim_holders is not None:
+                            victim_holders.pop(level.id, None)
+                        if level._total > cap:
+                            level._evict(self, keep=buf_id)
+            if writer_shared is None or level is writer_shared:
+                return
+            level = writer_shared
 
     def drop(self, buf: "Buffer") -> None:
         """Remove a freed buffer from every cache."""

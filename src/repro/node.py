@@ -13,9 +13,10 @@ starts from::
 
 Pricing hot paths are memoized (see docs/performance.md): the static part
 of a copy/reduce price — source classification, route, latency terms —
-is cached keyed by the operand spans plus a *cache-state signature* of the
-source buffer, while the dynamic part (bandwidth shares, which depend on
-``Resource.active`` at call time) is recomputed on every call. A memo hit
+is cached keyed by the operand spans plus the cache source each span
+selects (level and bytes covered), while the dynamic part (bandwidth
+shares, which depend on ``Resource.active`` at call time) is recomputed
+on every call. A memo hit
 therefore re-evaluates exactly the same floating-point expression the cold
 path would, which is what keeps simulated latencies bit-identical (pinned
 by tests/test_golden_latency.py).
@@ -133,6 +134,10 @@ class Node:
         self._copy_memo: dict[tuple, tuple] = {}
         self._reduce_memo: dict[tuple, tuple] = {}
         self._write_res_memo: dict[tuple[int, int], list[Resource]] = {}
+        # core -> {cache level id: Distance of reading it from that core},
+        # filled lazily by _cache_source_span (static geometry, so never
+        # invalidated).
+        self._level_dist: dict[int, dict[int, Distance]] = {}
         # Node-global XPMEM exposure registry (created lazily to keep the
         # import graph acyclic).
         from .shmem.xpmem import XpmemService
@@ -194,14 +199,7 @@ class Node:
 
     # -- source location ---------------------------------------------------
 
-    def _cache_source(
-        self, core: int, view: BufView
-    ) -> tuple[Optional[CacheLevel], int]:
-        """Best cache source for reading ``view`` by ``core``."""
-        return self._cache_source_span(core, view.buf, view.offset,
-                                       view.length)
-
-    def _cache_source_span(
+    def _cache_source_span(  # hot-path
         self, core: int, buf: Buffer, off: int, length: int
     ) -> tuple[Optional[CacheLevel], int]:
         """Best cache source for reading ``buf[off:off+length]`` by ``core``.
@@ -209,37 +207,58 @@ class Node:
         Returns (cache_level, hit_bytes); (None, 0) when no cache holds any
         of the range (DRAM at the buffer's home is then the source). The
         nearest cache wins; a farther one only wins by covering strictly
-        more of the range.
+        more of the range. Among equals the reader's own private cache
+        comes first, then the holders directory's insertion order.
         """
+        holders = self.caches._holders.get(buf.id)
+        if not holders or length <= 0:
+            return None, 0
+        buf_id = buf.id
+        end = off + length
         private = self.caches.private[core]
         best: Optional[CacheLevel] = None
-        best_dist: Optional[Distance] = None
+        best_dist = Distance.SELF
         best_hit = 0
-        hit = private.hit_bytes(buf, off, length)
-        if hit > 0:
-            best, best_dist, best_hit = private, Distance.SELF, hit
-        for level in self.caches.holders_of(buf):
+        # Coverage below is CacheLevel.hit_bytes inlined; the directory
+        # guarantees every holder has an entry for the buffer.
+        hw = private._hw.get(buf_id)
+        if hw is not None:
+            lo = hw - private.capacity
+            if lo < off:
+                lo = off
+            hi = hw if hw < end else end
+            if hi > lo:
+                best_hit = hi - lo
+                if best_hit == length:
+                    # Nothing beats the reader's own cache at full coverage.
+                    return private, best_hit
+                best = private
+        dists = self._level_dist.get(core)
+        if dists is None:
+            dists = self._level_dist[core] = {}  # lint: disable=RC106
+        for level_id, level in holders.items():
             if level is private:
                 continue
-            hit = level.hit_bytes(buf, off, length)
+            hw = level._hw[buf_id]
+            lo = hw - level.capacity
+            if lo < off:
+                lo = off
+            hi = hw if hw < end else end
+            hit = hi - lo
             if hit <= 0:
                 continue
-            if core in level.home_cores:
-                dist = (Distance.SELF if level.kind is CacheKind.PRIVATE
-                        else Distance.CACHE_LOCAL)
-            else:
-                dist = self.distance(core, level.home_cores[0])
-            better = (
-                best is None
-                or hit > best_hit
-                or (hit == best_hit and dist < best_dist)
-            )
-            # Prefer the nearest source unless a farther one covers more.
-            if best is not None and dist > best_dist and hit <= best_hit:
-                better = False
-            if better:
+            dist = dists.get(level_id)
+            if dist is None:  # first read of this level by this core
+                if core in level.home_cores:
+                    dist = (Distance.SELF if level.kind is CacheKind.PRIVATE
+                            else Distance.CACHE_LOCAL)
+                else:
+                    dist = self.distance(core, level.home_cores[0])
+                dists[level_id] = dist
+            if (best is None or hit > best_hit
+                    or (hit == best_hit and dist < best_dist)):
                 best, best_dist, best_hit = level, dist, hit
-                if best_hit >= length and best_dist <= Distance.CACHE_LOCAL:
+                if hit == length and dist <= Distance.CACHE_LOCAL:
                     # A full-coverage local source cannot be beaten.
                     break
         return best, best_hit
@@ -284,22 +303,8 @@ class Node:
             route.append(self.resources.xlink)
         return dist, route
 
-    def _read_price(
-        self, core: int, view: BufView, bw_factor: float = 1.0
-    ) -> tuple[float, list[Resource]]:
-        """Latency + transfer time to read ``view`` by ``core`` now.
-
-        Cold-path reference implementation; the memoized spans in
-        :meth:`plan_copy_span` / :meth:`plan_reduce` evaluate the identical
-        expression from cached static terms.
-        """
-        terms = self._read_terms(core, view.buf, view.offset, view.length,
-                                 bw_factor)
-        duration = self._eval_read(terms)
-        return duration, list(terms[8])
-
-    # A read price decomposes into static terms (valid while the source
-    # buffer's cache-state signature holds) and a dynamic bandwidth-share
+    # A read price decomposes into static terms (valid while the span
+    # selects the same cache source) and a dynamic bandwidth-share
     # evaluation. Term tuple layout:
     #   (lat_term, hit_bytes, bw_cap, route, miss_bytes,
     #    lat2_term, bw2_cap, route2, resources)
@@ -307,10 +312,13 @@ class Node:
     # remainder (if any) is served by the primary route; resources is the
     # deduplicated union in the original append order.
 
-    def _read_terms(self, core: int, buf: Buffer, off: int, length: int,
-                    bw_factor: float) -> tuple:
+    def _read_terms(self, core: int, buf: Buffer, length: int,
+                    bw_factor: float, level: Optional[CacheLevel],
+                    hit_bytes: int) -> tuple:
+        """Static terms of reading ``length`` bytes of ``buf`` by ``core``
+        from the selected source ``(level, hit_bytes)`` — the winner of
+        :meth:`_cache_source_span`, which the caller already holds."""
         model = self.model
-        level, hit_bytes = self._cache_source_span(core, buf, off, length)
         dist, route = self._source_route(core, level, buf)
         lat_term = model.lat[dist] + model.copy_issue_cost
         bw_cap = model.bw[dist] * bw_factor
@@ -358,11 +366,8 @@ class Node:
                 duration = duration + miss_bytes / eff_bw
         return duration
 
-    def _write_resources(self, core: int, view: BufView) -> list[Resource]:
-        """Big destinations spill past the caches to their home DRAM."""
-        return self._write_resources_for(core, view.buf)
-
     def _write_resources_for(self, core: int, buf: Buffer) -> list[Resource]:
+        """Big destinations spill past the caches to their home DRAM."""
         # Depends only on static geometry (buffer size/home, cache
         # capacities), so the memo needs no validity signature.
         key = (core, buf.id)
@@ -431,28 +436,30 @@ class Node:
 
         Memoized: the static terms are keyed by the span arguments *plus*
         the span's selected source — the ``(level, hit_bytes)`` winner of
-        :meth:`_cache_source_span`. Every other input to the terms is
+        :meth:`_cache_source_span`, computed once and handed to
+        :meth:`_read_terms` on a miss. Every other input to the terms is
         static geometry, so the winner pins the price exactly; and unlike
-        the full holder signature (which drags directory insertion order
-        and eviction trails into the key), the winner *recurs* across
-        benchmark iterations, which is what keeps steady-state runs
-        hitting. The winner is part of the key (not a guard on a single
-        entry) because one span is priced under a handful of recurring
-        states per iteration — keying by state keeps them all resident.
+        the per-holder coverage of the whole directory (which drags
+        insertion order and eviction trails into the key), the winner
+        *recurs* across benchmark iterations, which is what keeps
+        steady-state runs hitting. The winner is part of the key (not a
+        guard on a single entry) because one span is priced under a
+        handful of recurring states per iteration — keying by state keeps
+        them all resident.
         """
         if nbytes <= 0:
             return None
+        level, hit = self._cache_source_span(core, src_buf, src_off, src_len)
         if self._pricing_memo_enabled:
             memo = self._copy_memo
-            level, hit = self._cache_source_span(core, src_buf, src_off,
-                                                 src_len)
             key = (core, src_buf.id, src_off, src_len,
                    dst_buf.id, dst_off, nbytes, bw_factor,
                    level.id if level is not None else -1, hit)
             entry = memo.get(key)
             if entry is not None:
                 return entry
-        terms = self._read_terms(core, src_buf, src_off, src_len, bw_factor)
+        terms = self._read_terms(core, src_buf, src_len, bw_factor,
+                                 level, hit)
         resources = terms[8]
         for res in self._write_resources_for(core, dst_buf):
             if res not in resources:
@@ -505,12 +512,14 @@ class Node:
             return None
         srcs = prim.srcs
         dst = prim.dst
+        csrc = self._cache_source_span
+        winners = []  # lint: disable=RC106 - one (level, hit) per operand
+        for s in srcs:
+            winners.append(csrc(core, s.buf, s.offset, s.length))
         if self._pricing_memo_enabled:
             memo = self._reduce_memo
-            csrc = self._cache_source_span
             parts = []  # lint: disable=RC106 - the memo key being built
-            for s in srcs:
-                level, hit = csrc(core, s.buf, s.offset, s.length)
+            for s, (level, hit) in zip(srcs, winners):
                 parts.append((s.buf.id, s.offset, s.length,
                               level.id if level is not None else -1, hit))
             key = (core, tuple(parts),
@@ -522,9 +531,9 @@ class Node:
         # Memo-miss path: rebuilt terms are cached below.
         term_list = []  # lint: disable=RC106
         resources: list[Resource] = []  # lint: disable=RC106
-        for src in srcs:
-            terms = self._read_terms(core, src.buf, src.offset, src.length,
-                                     1.0)
+        for src, (level, hit) in zip(srcs, winners):
+            terms = self._read_terms(core, src.buf, src.length, 1.0,
+                                     level, hit)
             term_list.append(terms)
             for r in terms[8]:
                 if r not in resources:

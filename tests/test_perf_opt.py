@@ -162,25 +162,6 @@ def test_pricing_memo_on_off_bit_identical(monkeypatch):
     assert _hex(off) == _hex(on)
 
 
-def test_span_signature_reflects_holders_and_spans():
-    node = Node(small_topo())
-    sp = node.new_address_space(0, 0)
-    buf = sp.alloc("sig", 8 * 1024)
-    caches = node.caches
-    assert caches.span_signature(buf, 0, 4096) == ()
-    caches.record_read(0, buf, 4096)
-    sig = caches.span_signature(buf, 0, 4096)
-    # Private L2 of core 0 plus its shared cache each cover the span.
-    levels = dict(zip(sig[0::2], sig[1::2]))
-    assert all(n == 4096 for n in levels.values())
-    # A disjoint span has no coverage: holders with zero hit are omitted.
-    assert caches.span_signature(buf, 4096, 4096) == ()
-    # Extending the prefix changes the signature for the larger span.
-    caches.record_read(0, buf, 8192)
-    sig2 = caches.span_signature(buf, 0, 8192)
-    assert dict(zip(sig2[0::2], sig2[1::2])) != levels or sig2 != sig
-
-
 def test_pricing_memo_entries_capped(monkeypatch):
     monkeypatch.setattr(Node, "_MEMO_CAP", 8)
     node = Node(small_topo())
