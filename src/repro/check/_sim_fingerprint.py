@@ -7,8 +7,8 @@ the last SIM_VERSION bump; lint rule RC105 compares against it.
 SIM_VERSION = 3
 
 FINGERPRINT = {
-    'sim/engine.py': 'fa50d9e49132c3a0f236eb850483e2879cd9cd0ea699cf122d7dcd357bf52433',
-    'sim/primitives.py': '1daf3ebe0e66eb3921d979b7d50050fa25db943362c1182b7c72afc91594d317',
+    'sim/engine.py': '116fa72b4a25ec0365cc97248f79273dbd3693f788aea4c26bf7e63cba7d8227',
+    'sim/primitives.py': 'f150cc5acf8172235f0e17a27c3fb4de34bcc7006475fc53961b9918d95de76a',
     'sim/syncobj.py': 'f3e692af0fd6c9ed677d06941d87024557a5269695a78101f928e1ccfab4507d',
     'sim/resources.py': '958a15303242ce15ca235ecfd0589496f7730ce7755841373da2d409b5241b0e',
     'node.py': 'c0c9cb622d3a9395d725d557826a1197acd91dd54c8026f60c07bbf3bc957caa',

@@ -136,7 +136,7 @@ class SmscEndpoint:
             return (self._lookup_prim, P.Copy(src=src, dst=dst))
         return None
 
-    # -- lowered chunk runs (array engine) -----------------------------------
+    # -- chunk-run lowering (ArrayEngine.chunk_run) -------------------------
 
     def chunk_run_lowerable(self, src: "BufView") -> bool:
         """True when *every* chunk of a pipelined pull from ``src`` would

@@ -33,8 +33,16 @@ event engine uses) are evaluated in a numpy sweep when the op is wide
 (CopyBatch, multi-source reduces); a scalar replay with the identical
 floating-point expression handles narrow ops, and the two are
 bit-identical (pinned by tests/test_array_engine.py), so batch size
-never changes results. Lowered chunk runs price their whole timeline in
-one closed-form sweep (``_chunkrun_sweep``).
+never changes results.
+
+**Chunk-run lowering.** Components describe every pipelined loop as one
+:class:`~repro.sim.primitives.ChunkRun` and hand it to the engine's
+``chunk_run``; the event engine expands it per chunk, and this engine
+decides whether to lower it. When every chunk's single-copy body would
+take the fast path (``SmscEndpoint.chunk_run_lowerable`` /
+``reduce_run_lowerable``), the peer operands are mapped once and the
+whole run prices in one closed-form sweep (``_chunkrun_sweep``);
+otherwise the run is expanded per chunk exactly as on the event engine.
 
 The price of all this is a deliberate numeric model change
 (SIM_VERSION 3): no quantum-granularity re-pricing, run-granularity
@@ -53,7 +61,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from typing import Any, Generator, Optional
+from dataclasses import replace
+from typing import Any, Generator, Iterator, Optional
 
 from ..compat import require_numpy
 from ..errors import SimulationError
@@ -82,7 +91,6 @@ class ArrayEngine(Engine):
     """
 
     engine_kind = "array"
-    lower_chunk_runs = True
 
     #: Minimum number of term rows per flush for the numpy path; below
     #: it a scalar replay of the identical expression runs. Test hook —
@@ -160,6 +168,40 @@ class ArrayEngine(Engine):
             return self._now
         finally:
             self._running = False
+
+    # -- pipelined loops --------------------------------------------------
+
+    def chunk_run(self, run: P.ChunkRun, smsc=None,
+                  gated: int = 0) -> Iterator:
+        """Lower ``run`` to one priced sweep when every chunk's body would
+        take the single-copy fast path: map the peer operands once, take
+        the per-chunk fixed cost from the endpoint's bulk accounting and
+        yield the run itself. Otherwise (e.g. the registration cache is
+        off) expand it per chunk from chunk 0 — re-yielding the caller's
+        satisfied chunk-0 waits, which this engine prices. A run with no
+        ``smsc`` has nothing to map and is yielded as it is."""
+        if smsc is None:
+            yield run
+            return
+        nbytes = run.stop - run.start
+        nchunks = -(-nbytes // run.chunk)
+        if run.copy is not None:
+            src = run.copy[0]
+            if smsc.chunk_run_lowerable(src):
+                yield from smsc.map_peer(src)
+                yield replace(run, const_cost=smsc.chunk_run_account(
+                    src, nchunks, nbytes))
+                return
+        else:
+            srcs, dst = run.reduce[:2]
+            if smsc.reduce_run_lowerable(srcs, dst):
+                for view in srcs:
+                    yield from smsc.map_peer(view)
+                yield from smsc.map_peer(dst)
+                yield replace(run, const_cost=smsc.reduce_run_account(
+                    srcs, dst, nchunks))
+                return
+        yield from P.chunk_steps(run, smsc)
 
     # -- dispatch --------------------------------------------------------
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Iterator, Optional
 
 from ..errors import DeadlockError, SimulationError
 from ..obs.spans import NULL_OBSERVER, NullObserver, Observer
@@ -146,13 +146,6 @@ class Engine:
     #: this to ``"array"``. Matches ``RunOptions.engine``.
     engine_kind = "event"
 
-    #: Whether components may lower zero-decision pipelined loops to
-    #: :class:`~repro.sim.primitives.ChunkRun`. The event engine prices
-    #: per chunk by design, so it refuses the lowered form (an unknown
-    #: primitive raises in the handler table) and components must keep
-    #: yielding the per-chunk stream when this is False.
-    lower_chunk_runs = False
-
     def __init__(self, pricer, record_copies: bool = False,
                  observe: "bool | str | Observer | None" = None,
                  check: "bool | str | None" = None) -> None:
@@ -254,6 +247,15 @@ class Engine:
                 self._current_proc if self._running else None, proc)
         heapq.heappush(self._heap, (self.now, next(self._seq), proc))
         return proc
+
+    def chunk_run(self, run: P.ChunkRun, smsc=None,
+                  gated: int = 0) -> Iterator:
+        """The primitives that execute the pipelined loop ``run``; drive
+        them with ``yield from``. ``smsc`` moves single-copy bodies;
+        ``gated`` leading chunks had their waits yielded by the caller.
+        The event engine prices every chunk at its own events, so it
+        expands the run (:func:`~repro.sim.primitives.chunk_steps`)."""
+        return P.chunk_steps(run, smsc, gated)
 
     def run(self, until: float | None = None) -> float:
         """Run to quiescence (or ``until``); returns the final time."""

@@ -8,7 +8,7 @@ resumes the generator (``AtomicRMW`` sends the pre-increment value back).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..memory.address_space import BufView
@@ -59,8 +59,7 @@ class CopyBatch:
     line fetch, so eliding one would change the timeline; primitives that
     send a value back (:class:`AtomicRMW`) are excluded for the same
     reason batches exist — there is no generator frame to receive it.
-    For whole pipelined loops (waits included) under the array engine,
-    see :class:`ChunkRun`.
+    For whole pipelined loops (waits included), see :class:`ChunkRun`.
     """
 
     steps: tuple
@@ -128,7 +127,7 @@ class WaitFlag:
 
 @dataclass(frozen=True, slots=True)
 class ChunkRun:
-    """A zero-decision pipelined chunk loop, lowered to one primitive.
+    """A zero-decision pipelined chunk loop, described once.
 
     This is :class:`CopyBatch` taken to its limit: where a batch removes
     the generator round-trips *within* one chunk, a ChunkRun removes the
@@ -150,10 +149,13 @@ class ChunkRun:
     Only ``>=`` waits are expressible — that is what makes the segment
     zero-decision: availability counters only grow, so the whole run's
     timeline is a prefix-max recurrence over the producers' publication
-    schedules. Components emit a ChunkRun only when the engine
-    advertises ``lower_chunk_runs`` (the array engine, which prices the
-    run as one vectorized sweep); the event engine refuses it rather
-    than approximate the per-chunk event sequence.
+    schedules. Components build every pipelined loop as a ChunkRun and
+    hand it to ``engine.chunk_run``: the event engine expands it into
+    the per-chunk stream of :func:`chunk_steps`, the array engine prices
+    it as one vectorized sweep when every chunk would take the fast
+    path. ``const_cost`` is set only by that lowering — it is the bulk
+    form of the per-chunk single-copy work :func:`chunk_steps` yields
+    itself.
     """
 
     start: int
@@ -208,3 +210,93 @@ class Trace:
 
     label: str
     meta: dict = field(default_factory=dict)
+
+
+def chunk_steps(run: ChunkRun, smsc=None, gated: int = 0) -> Iterator:
+    """Expand ``run`` into its per-chunk primitive stream.
+
+    For every chunk past the first ``gated`` (whose waits the caller
+    already yielded), each ``waits`` entry that gates the chunk becomes a
+    :class:`WaitFlag`. The body follows: through ``smsc`` (a
+    :class:`~repro.shmem.smsc.SmscEndpoint`) it is the spliceable
+    ``copy_from_steps`` / ``reduce_from_steps`` tuple, or the
+    ``copy_from`` / ``reduce_from`` slow path when those decline; without
+    ``smsc`` it is a plain :class:`Copy` / :class:`Reduce`. The chunk's
+    ``sets`` (a :class:`SetFlag` for one flag, a :class:`SetFlagGroup`
+    otherwise) are spliced into one :class:`CopyBatch` with a fast-path
+    body and yielded on their own after the slow path; a lone step is
+    yielded bare.
+    """
+    start = run.start
+    stop = run.stop
+    chunk = run.chunk
+    waits = run.waits
+    # Per-run constants: one (class, target, base) per announcement, so
+    # the chunk loop builds each set primitive with a single call.
+    sets = tuple((SetFlag, flags[0], base) if len(flags) == 1
+                 else (SetFlagGroup, flags, base)
+                 for flags, base in run.sets)
+    nsets = len(sets)
+    if nsets == 1:
+        set_cls, set_target, set_base = sets[0]
+    announce = ()
+    copy = run.copy
+    red = run.reduce
+    if copy is not None:
+        src, dst = copy
+        if smsc is not None:
+            fast = smsc.copy_from_steps
+            slow = smsc.copy_from
+    elif red is not None:
+        srcs, dst, op, dtype = red
+        if smsc is not None:
+            fast = smsc.reduce_from_steps
+            slow = smsc.reduce_from
+    gated_stop = start + gated * chunk
+    o = start
+    while o < stop:
+        e = o + chunk
+        if e > stop:
+            e = stop
+        n = e - o
+        if o >= gated_stop:
+            for flag, base, lo, hi in waits:
+                need = (e if e < hi else hi) - lo
+                if need > 0:
+                    yield WaitFlag(flag, base + need)
+        v = e - start
+        if nsets == 1:
+            announce = (set_cls(set_target, set_base + v),)
+        elif nsets:
+            announce = tuple([cls(target, base + v)
+                              for cls, target, base in sets])
+        if copy is not None:
+            s = src.sub(o, n)
+            d = dst.sub(o, n)
+            if smsc is None:
+                steps = (Copy(src=s, dst=d),)
+            else:
+                steps = fast(s, d)
+                if steps is None:
+                    yield from slow(s, d)
+        elif red is not None:
+            ss = tuple([b.sub(o, n) for b in srcs])
+            d = dst.sub(o, n)
+            if smsc is None:
+                steps = (Reduce(srcs=ss, dst=d, op=op, dtype=dtype),)
+            else:
+                steps = fast(ss, d, op=op, dtype=dtype)
+                if steps is None:
+                    yield from slow(ss, d, op=op, dtype=dtype)
+        else:
+            steps = ()
+        if steps is None:
+            for prim in announce:
+                yield prim
+        else:
+            steps += announce
+            if len(steps) == 1:
+                yield steps[0]
+            elif steps:
+                yield CopyBatch(steps)
+        o = e

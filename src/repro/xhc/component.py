@@ -170,26 +170,23 @@ class Xhc(CollComponent):
             self._avail_multi[key] = flag
         return flag
 
-    def _avail_prim(self, comm, hier: Hierarchy, me: int, value: int):
-        """The primitive :meth:`_set_avail` would yield, or None (multi
-        layout with no children). Lets the pipelined hot loops splice the
-        availability announcement into a :class:`~repro.sim.primitives.
-        CopyBatch` instead of delegating to a generator per chunk."""
-        if self.cfg.flag_layout == "single":
-            return P.SetFlag(self.avail[me], value)
-        flags = tuple(self._multi_flag(comm, me, child)
-                      for child, _level in hier.children(me))
-        if flags:
-            return P.SetFlagGroup(flags, value)
-        return None
-
     def _avail_flags(self, comm, hier: Hierarchy, me: int) -> tuple:
-        """The flags :meth:`_avail_prim` would write — lowered chunk runs
-        stamp them directly instead of yielding per-chunk sets."""
+        """The flags ``me`` announces availability on: its own flag in
+        the single layout, one per child in the multi layouts."""
         if self.cfg.flag_layout == "single":
             return (self.avail[me],)
         return tuple(self._multi_flag(comm, me, child)
                      for child, _level in hier.children(me))
+
+    def _avail_prim(self, comm, hier: Hierarchy, me: int, value: int):
+        """The primitive announcing ``value`` on :meth:`_avail_flags`, or
+        None (multi layout with no children)."""
+        flags = self._avail_flags(comm, hier, me)
+        if not flags:
+            return None
+        if len(flags) == 1:
+            return P.SetFlag(flags[0], value)
+        return P.SetFlagGroup(flags, value)
 
     def _set_avail(self, comm, hier: Hierarchy, me: int,
                    value: int) -> Iterator:
@@ -197,11 +194,14 @@ class Xhc(CollComponent):
         if prim is not None:
             yield prim
 
-    def _wait_avail(self, comm, parent: int, me: int, value: int) -> Iterator:
+    def _parent_avail_flag(self, comm, parent: int, me: int) -> Flag:
+        """The flag ``me`` polls for its parent's availability."""
         if self.cfg.flag_layout == "single":
-            yield P.WaitFlag(self.avail[parent], value)
-        else:
-            yield P.WaitFlag(self._multi_flag(comm, parent, me), value)
+            return self.avail[parent]
+        return self._multi_flag(comm, parent, me)
+
+    def _wait_avail(self, comm, parent: int, me: int, value: int) -> Iterator:
+        yield P.WaitFlag(self._parent_avail_flag(comm, parent, me), value)
 
     # -- broadcast (SSIV-A) -----------------------------------------------
 
@@ -286,93 +286,43 @@ class Xhc(CollComponent):
         assert parent is not None
         level = hier.pull_level(me)
         chunk = self.cfg.chunk_for_level(level)
-        has_children = bool(hier.children(me))
+        wait_flag = self._parent_avail_flag(comm, parent, me)
         avail_base_p = led["avail"][parent]
         avail_base_me = led["avail"][me]
-        # The per-chunk wait flag and availability primitive never change
-        # across the loop, so resolve them once and yield the primitives
-        # directly — delegating to the _wait_avail/_set_avail generators
-        # costs two round-trips per chunk at zero simulated time.
-        if self.cfg.flag_layout == "single":
-            wait_flag = self.avail[parent]
-            my_avail = self.avail[me]
-            mk_avail = ((lambda v: P.SetFlag(my_avail, v))
-                        if has_children else None)
-        else:
-            wait_flag = self._multi_flag(comm, parent, me)
-            my_flags = tuple(self._multi_flag(comm, me, child)
-                             for child, _level in hier.children(me))
-            mk_avail = ((lambda v: P.SetFlagGroup(my_flags, v))
-                        if my_flags else None)
-        got = 0
+        has_children = bool(hier.children(me))
         with comm.node.obs.span("xhc.fanout", rank=me, parent=parent,
                                 level=level, nbytes=nbytes, chunk=chunk):
-            if (not small and comm.node.engine.lower_chunk_runs
-                    and ctx.smsc.enabled):
-                # Lowered form (array engine): the wait/copy/announce loop
-                # is zero-decision, so after the first chunk's wait (which
-                # licenses reading the parent's publication) the whole
-                # stream goes down as one ChunkRun. The attach that the
-                # first per-chunk pull would have paid happens via
-                # map_peer up front.
-                n0 = min(chunk, nbytes)
-                yield P.WaitFlag(wait_flag, avail_base_p + n0)
-                pview = self._pub_fan[parent]
-                if ctx.smsc.chunk_run_lowerable(pview):
-                    yield from ctx.smsc.map_peer(pview)
-                    nchunks = -(-nbytes // chunk)
-                    const = ctx.smsc.chunk_run_account(pview, nchunks,
-                                                       nbytes)
-                    if self.cfg.flag_layout == "single":
-                        avail_flags = (my_avail,) if has_children else ()
-                    else:
-                        avail_flags = my_flags
-                    sets = (((avail_flags, avail_base_me),)
-                            if avail_flags else ())
-                    yield P.ChunkRun(
-                        start=0, stop=nbytes, chunk=chunk,
-                        waits=((wait_flag, avail_base_p, 0, nbytes),),
-                        sets=sets, copy=(pview, dst_view),
-                        const_cost=const)
-                    return
-                # Not lowerable (e.g. regcache off): fall through to the
-                # per-chunk loop; re-waiting chunk 0 is a satisfied wait.
-            while got < nbytes:
-                n = min(chunk, nbytes - got)
-                yield P.WaitFlag(wait_flag, avail_base_p + got + n)
-                if small:
+            if small:
+                # CICO: pull each chunk into our staging slot, republish
+                # it, then copy it out to the user buffer.
+                got = 0
+                while got < nbytes:
+                    n = min(chunk, nbytes - got)
+                    yield P.WaitFlag(wait_flag, avail_base_p + got + n)
                     src = self.cico_res[parent][parity].sub(got, n)
                     if has_children:
-                        mine = self.cico_res[me][parity]
+                        mine = self.cico_res[me][parity].sub(got, n)
+                        dst = dst_view.sub(got, n)
                         got += n
-                        steps = [P.Copy(src=src,
-                                        dst=mine.sub(got - n, n))]
-                        if mk_avail is not None:
-                            steps.append(mk_avail(avail_base_me + got))
-                        steps.append(P.Copy(src=mine.sub(got - n, n),
-                                            dst=dst_view.sub(got - n, n)))
-                        yield P.CopyBatch(tuple(steps))
+                        yield P.CopyBatch((
+                            P.Copy(src=src, dst=mine),
+                            self._avail_prim(comm, hier, me,
+                                             avail_base_me + got),
+                            P.Copy(src=mine, dst=dst)))
                     else:
                         yield P.Copy(src=src, dst=dst_view.sub(got, n))
                         got += n
-                else:
-                    pview = self._pub_fan[parent]
-                    src = pview.sub(got, n)
-                    dst = dst_view.sub(got, n)
-                    steps = ctx.smsc.copy_from_steps(src, dst)
-                    if steps is None:
-                        yield from ctx.smsc.copy_from(src, dst)
-                        got += n
-                        if mk_avail is not None:
-                            yield mk_avail(avail_base_me + got)
-                    else:
-                        got += n
-                        if mk_avail is not None:
-                            steps = steps + (mk_avail(avail_base_me + got),)
-                        if len(steps) == 1:
-                            yield steps[0]
-                        else:
-                            yield P.CopyBatch(steps)
+                return
+            # Chunk 0's wait licenses reading the parent's publication.
+            yield P.WaitFlag(wait_flag, avail_base_p + min(chunk, nbytes))
+            my_flags = (self._avail_flags(comm, hier, me) if has_children
+                        else ())
+            run = P.ChunkRun(
+                start=0, stop=nbytes, chunk=chunk,
+                waits=((wait_flag, avail_base_p, 0, nbytes),),
+                sets=((my_flags, avail_base_me),) if my_flags else (),
+                copy=(self._pub_fan[parent], dst_view))
+            yield from comm.node.engine.chunk_run(run, ctx.smsc, gated=1)
 
     def _finalize(self, comm, hier: Hierarchy, me: int, led: dict,
                   wait_children: bool = True) -> Iterator:
@@ -561,83 +511,28 @@ class Xhc(CollComponent):
         lo, hi = rng
         level = group.level
         chunk = self.cfg.chunk_for_level(level)
-        peers = group.members
-        ready_bases = {p: led["ready"][p][level] for p in peers}
-        done_base = led["done"][me]
-        done_flag = self.done[me]
-        ufunc = op.ufunc
-        np_dtype = dtype.np_dtype
-        src_bases = None
-        pos = lo
+        ready = [(self.ready[p][level], led["ready"][p][level])
+                 for p in group.members]
         with comm.node.obs.span("xhc.reduce.work", rank=me, level=level,
                                 lo=lo, hi=hi):
-            if (not small and comm.node.engine.lower_chunk_runs
-                    and ctx.smsc.can_reduce):
-                # Lowered form: wait for the first chunk (so every peer's
-                # publication exists), resolve the operand views, then
-                # reduce the whole assigned range as one ChunkRun.
-                n0 = min(chunk, hi - lo)
-                for p in peers:
-                    yield P.WaitFlag(self.ready[p][level],
-                                     ready_bases[p] + lo + n0)
-                src_bases = [
-                    self._contrib(comm, p, level, nbytes, small, parity)
-                    for p in peers
-                ]
-                dst_base = self._result(comm, group.leader, nbytes,
-                                        small, parity)
-                if ctx.smsc.reduce_run_lowerable(src_bases, dst_base):
-                    for v in src_bases:
-                        yield from ctx.smsc.map_peer(v)
-                    yield from ctx.smsc.map_peer(dst_base)
-                    nchunks = -(-(hi - lo) // chunk)
-                    const = ctx.smsc.reduce_run_account(
-                        src_bases, dst_base, nchunks)
-                    yield P.ChunkRun(
-                        start=lo, stop=hi, chunk=chunk,
-                        waits=tuple((self.ready[p][level], ready_bases[p],
-                                     0, hi) for p in peers),
-                        sets=(((done_flag,), done_base),),
-                        reduce=(tuple(src_bases), dst_base, ufunc,
-                                np_dtype),
-                        const_cost=const)
-                    return
-                # Fall through: the loop re-waits chunk 0 (satisfied) and
-                # skips the operand resolution (src_bases already set).
-            while pos < hi:
-                n = min(chunk, hi - pos)
-                for p in peers:
-                    yield P.WaitFlag(self.ready[p][level],
-                                     ready_bases[p] + pos + n)
-                if src_bases is None:
-                    # Buffer lookups happen only after the first readiness
-                    # waits (the leader's publication precedes its first
-                    # ready announcement); the published views themselves
-                    # are per-op constants, so resolve them once.
-                    src_bases = [
-                        self._contrib(comm, p, level, nbytes, small, parity)
-                        for p in peers
-                    ]
-                    dst_base = self._result(comm, group.leader, nbytes,
-                                            small, parity)
-                srcs = [base.sub(pos, n) for base in src_bases]
-                dst = dst_base.sub(pos, n)
-                pos += n
-                done_prim = P.SetFlag(done_flag, done_base + (pos - lo))
-                if small:
-                    yield P.CopyBatch((
-                        P.Reduce(srcs=tuple(srcs), dst=dst, op=ufunc,
-                                 dtype=np_dtype),
-                        done_prim))
-                else:
-                    steps = ctx.smsc.reduce_from_steps(srcs, dst, op=ufunc,
-                                                       dtype=np_dtype)
-                    if steps is None:
-                        yield from ctx.smsc.reduce_from(srcs, dst, op=ufunc,
-                                                        dtype=np_dtype)
-                        yield done_prim
-                    else:
-                        yield P.CopyBatch(steps + (done_prim,))
+            # Chunk 0's readiness waits license reading the peers'
+            # buffers (the leader publishes before announcing readiness).
+            n0 = min(chunk, hi - lo)
+            for flag, base in ready:
+                yield P.WaitFlag(flag, base + lo + n0)
+            srcs = tuple(self._contrib(comm, p, level, nbytes, small, parity)
+                         for p in group.members)
+            dst = self._result(comm, group.leader, nbytes, small, parity)
+            run = P.ChunkRun(
+                start=lo, stop=hi, chunk=chunk,
+                waits=tuple((flag, base, 0, hi) for flag, base in ready),
+                sets=(((self.done[me],), led["done"][me]),),
+                reduce=(srcs, dst, op.ufunc, dtype.np_dtype))
+            if small:
+                yield from P.chunk_steps(run, gated=1)
+            else:
+                yield from comm.node.engine.chunk_run(run, ctx.smsc,
+                                                      gated=1)
 
     def _monitor(self, comm, ctx, me: int, hier: Hierarchy, group: Group,
                  nbytes: int, small: bool, fan_out: bool, dtype,
@@ -650,80 +545,39 @@ class Xhc(CollComponent):
         is_top = (me == hier.root and group is hier.levels[-1][0])
         chunk = self.cfg.chunk_for_level(min(next_level, hier.n_levels - 1))
         workers = group.nonleaders
-        ranges = self._ranges(nbytes, len(workers) or 1, dtype.itemsize)
-        assigned = list(zip(workers, ranges))
-        done_bases = {w: led["done"][w] for w in workers}
-        ready_base_own = led["ready"][me][level]
-        ready_base_next = led["ready"][me][next_level]
-        avail_base = led["avail"][me]
-        c = 0
+        body = None
+        if workers:
+            # Each worker's done counter covers its own index range.
+            ranges = self._ranges(nbytes, len(workers), dtype.itemsize)
+            waits = tuple((self.done[w], led["done"][w], off, off + n)
+                          for w, (off, n) in zip(workers, ranges))
+        else:
+            # Singleton group: forward our own contribution.
+            waits = ((self.ready[me][level], led["ready"][me][level],
+                      0, nbytes),)
+            if level == 0:
+                body = (self._contrib(comm, me, 0, nbytes, small, parity),
+                        self._result(comm, me, nbytes, small, parity))
+        if not is_top:
+            sets = (((self.ready[me][next_level],),
+                     led["ready"][me][next_level]),)
+        else:
+            avail_base = led["avail"][me]
+            own = ((self.avail[me],), avail_base)
+            members = (self._avail_flags(comm, hier, me)
+                       if fan_out and self.cfg.flag_layout != "single"
+                       else ())
+            # The multi layouts announce on the members' flags, but the
+            # root's own fan-out wait polls the single flag.
+            sets = ((members, avail_base), own) if members else (own,)
+        run = P.ChunkRun(start=0, stop=nbytes, chunk=chunk, waits=waits,
+                         sets=sets, copy=body)
         with comm.node.obs.span("xhc.reduce.monitor", rank=me,
                                 level=level, top=is_top):
-            if not small and comm.node.engine.lower_chunk_runs:
-                # Lowered form: the poll-and-propagate loop is pure
-                # clamped waits plus per-chunk announcements — exactly
-                # the shape ChunkRun's (flag, base, lo, hi) specs encode.
-                if workers:
-                    waits = tuple((self.done[w], done_bases[w], off,
-                                   off + n)
-                                  for w, (off, n) in assigned)
-                    body = None
-                else:
-                    waits = ((self.ready[me][level], ready_base_own,
-                              0, nbytes),)
-                    body = None
-                    if level == 0:
-                        body = (self._contrib(comm, me, 0, nbytes, small,
-                                              parity),
-                                self._result(comm, me, nbytes, small,
-                                             parity))
-                sets = []
-                if is_top:
-                    if fan_out:
-                        avail_flags = self._avail_flags(comm, hier, me)
-                        if avail_flags:
-                            sets.append((avail_flags, avail_base))
-                        if self.cfg.flag_layout != "single":
-                            sets.append(((self.avail[me],), avail_base))
-                    else:
-                        sets.append(((self.avail[me],), avail_base))
-                else:
-                    sets.append(((self.ready[me][next_level],),
-                                 ready_base_next))
-                yield P.ChunkRun(start=0, stop=nbytes, chunk=chunk,
-                                 waits=waits, sets=tuple(sets), copy=body)
-                return
-            while c < nbytes:
-                c_end = min(c + chunk, nbytes)
-                for w, (off, n) in assigned:
-                    need = min(off + n, c_end) - off
-                    if need > 0:
-                        yield P.WaitFlag(self.done[w], done_bases[w] + need)
-                if not workers:
-                    # Singleton group: forward our own contribution.
-                    yield P.WaitFlag(self.ready[me][level],
-                                     ready_base_own + c_end)
-                    if level == 0:
-                        src = self._contrib(comm, me, 0, nbytes, small,
-                                            parity)
-                        dst = self._result(comm, me, nbytes, small, parity)
-                        yield P.Copy(src=src.sub(c, c_end - c),
-                                     dst=dst.sub(c, c_end - c))
-                if is_top:
-                    if fan_out:
-                        yield from self._set_avail(comm, hier, me,
-                                                   avail_base + c_end)
-                        if self.cfg.flag_layout != "single":
-                            # The root's own fan-out wait uses the single
-                            # flag.
-                            yield P.SetFlag(self.avail[me],
-                                            avail_base + c_end)
-                    else:
-                        yield P.SetFlag(self.avail[me], avail_base + c_end)
-                else:
-                    yield P.SetFlag(self.ready[me][next_level],
-                                    ready_base_next + c_end)
-                c = c_end
+            if small:
+                yield from P.chunk_steps(run)
+            else:
+                yield from comm.node.engine.chunk_run(run)
 
     def _update_reduce_ledger(self, comm, hier: Hierarchy, me: int, led: dict,
                               nbytes: int, dtype, fan_out: bool) -> None:

@@ -3,8 +3,9 @@
 Complements tests/test_engine_parity.py (which pins latencies and
 event-vs-array deltas): this file covers the opt-in surface itself —
 numpy gating, instrumentation incompatibility, run(until=...) refusal,
-bit-stable determinism, and the scalar/vector sweep equivalence that
-makes ``ARRAY_VEC_MIN`` a pure performance knob.
+bit-stable determinism, the scalar/vector sweep equivalence that makes
+``ARRAY_VEC_MIN`` a pure performance knob, and the engine's own
+chunk-run lowering decision.
 """
 
 import subprocess
@@ -18,6 +19,8 @@ from repro.bench.osu import run_collective
 from repro.errors import ConfigError, SimulationError
 from repro.node import Node
 from repro.options import RunOptions
+from repro.sim import primitives as P
+from repro.sim.syncobj import Flag
 from repro.topology import get_system
 from repro.xhc.component import Xhc
 
@@ -104,6 +107,65 @@ def test_array_engine_handles_small_and_large_sizes():
     for size in (64, 512, 1 << 20):
         lat = _bcast_latency(size=size)
         assert lat > 0.0
+
+
+class _Endpoint:
+    """A single-copy endpoint stub that records what the engine maps."""
+
+    def __init__(self, lowerable):
+        self.lowerable = lowerable
+        self.mapped = []
+
+    def chunk_run_lowerable(self, src):
+        return self.lowerable
+
+    def map_peer(self, view):
+        self.mapped.append(view)
+        yield P.Syscall("xpmem_attach")
+
+    def chunk_run_account(self, src, nchunks, nbytes):
+        return 1e-9 * nchunks
+
+    def copy_from_steps(self, src, dst):
+        return (P.Copy(src=src, dst=dst),)
+
+    def copy_from(self, src, dst):  # pragma: no cover - never declines
+        yield P.Copy(src=src, dst=dst)
+
+
+def test_array_engine_owns_the_lowering_decision():
+    """A lowerable run maps its peer once and is yielded whole with the
+    bulk per-chunk cost; otherwise it expands per chunk from chunk 0,
+    re-waiting the chunk the caller already waited on; a run without an
+    endpoint is yielded as it is."""
+    pytest.importorskip("numpy")
+    node = Node(get_system("epyc-1p"),
+                options=RunOptions(engine="array", data_movement=False))
+    sp = node.new_address_space(0, 0)
+    src = sp.alloc("src", 32).whole()
+    dst = sp.alloc("dst", 32).whole()
+    avail = Flag("avail", owner_core=1)
+    run = P.ChunkRun(start=0, stop=32, chunk=16,
+                     waits=((avail, 0, 0, 32),), copy=(src, dst))
+    engine = node.engine
+
+    ep = _Endpoint(lowerable=True)
+    got = list(engine.chunk_run(run, ep, gated=1))
+    assert ep.mapped == [src]
+    assert got == [P.Syscall("xpmem_attach"),
+                   P.ChunkRun(start=0, stop=32, chunk=16,
+                              waits=run.waits, copy=run.copy,
+                              const_cost=2e-9)]
+
+    ep = _Endpoint(lowerable=False)
+    assert list(engine.chunk_run(run, ep, gated=1)) == [
+        P.WaitFlag(avail, 16), P.Copy(src=src.sub(0, 16), dst=dst.sub(0, 16)),
+        P.WaitFlag(avail, 32), P.Copy(src=src.sub(16, 16),
+                                      dst=dst.sub(16, 16)),
+    ]
+    assert ep.mapped == []
+
+    assert list(engine.chunk_run(run)) == [run]
 
 
 def test_event_engine_never_imports_numpy():

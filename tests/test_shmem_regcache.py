@@ -1,13 +1,20 @@
 """Registration cache: hits, misses, LRU capacity, statistics."""
 
+import pytest
+
 from repro.node import Node
+from repro.options import RunOptions
 from repro.shmem.regcache import RegistrationCache
 
 from conftest import small_topo
 
+# The deprecated Node(...) keywords must not creep back in here.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+
 
 def bufs(n, size=64):
-    sp = Node(small_topo(), data_movement=False).new_address_space(0, 0)
+    sp = Node(small_topo(),
+              options=RunOptions(data_movement=False)).new_address_space(0, 0)
     return [sp.alloc(f"b{i}", size) for i in range(n)]
 
 

@@ -1,17 +1,22 @@
-"""Engine semantics: scheduling, flags, atomics, determinism, deadlock."""
+"""Engine semantics: scheduling, flags, atomics, determinism, deadlock,
+and the per-chunk expansion of pipelined loops."""
 
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.node import Node
+from repro.options import RunOptions
 from repro.sim import primitives as P
 from repro.sim.syncobj import Atomic, Flag
 
 from conftest import small_topo
 
+# The deprecated Node(...) keywords must not creep back in here.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
+
 
 def fresh_node():
-    return Node(small_topo(), data_movement=True)
+    return Node(small_topo(), options=RunOptions(data_movement=True))
 
 
 def test_compute_advances_time():
@@ -231,3 +236,90 @@ def test_syscall_and_page_fault_costs():
     t = node.engine.run()
     expected = node.model.syscall_cost + 10 * node.model.page_fault_cost
     assert t == pytest.approx(expected)
+
+
+class _SlowFirstSmsc:
+    """A single-copy endpoint whose first pull needs the slow attach path
+    and whose later pulls are spliceable cache hits."""
+
+    lookup = P.Compute(1e-9)
+
+    def __init__(self):
+        self.attached = False
+
+    def copy_from_steps(self, src, dst):
+        if not self.attached:
+            return None
+        return (self.lookup, P.Copy(src=src, dst=dst))
+
+    def copy_from(self, src, dst):
+        self.attached = True
+        yield P.Syscall("xpmem_attach")
+        yield P.Copy(src=src, dst=dst)
+
+
+def test_chunk_steps_expands_the_per_chunk_stream():
+    """Clamped gates, caller-gated chunk 0, a slow first body with its
+    sets yielded on their own, then fast bodies spliced with the sets."""
+    node = fresh_node()
+    sp = node.new_address_space(0, 0)
+    src = sp.alloc("src", 64).whole()
+    dst = sp.alloc("dst", 64).whole()
+    fa, fb, fc = (Flag(name, owner_core=1) for name in ("a", "b", "c"))
+    s1, g1, g2 = (Flag(name, owner_core=0) for name in ("s1", "g1", "g2"))
+    run = P.ChunkRun(
+        start=8, stop=50, chunk=16,        # chunks end at 24, 40, 50
+        waits=((fa, 100, 0, 50),           # gates every chunk
+               (fb, 200, 40, 50),          # starts past chunk 1's end
+               (fc, 300, 0, 30)),          # clamped at 30
+        sets=(((s1,), 10), ((g1, g2), 20)),
+        copy=(src, dst))
+    got = list(P.chunk_steps(run, _SlowFirstSmsc(), gated=1))
+    lookup = _SlowFirstSmsc.lookup
+
+    def body(o, n):
+        return P.Copy(src=src.sub(o, n), dst=dst.sub(o, n))
+
+    assert got == [
+        # chunk [8, 24): waits already yielded by the caller; slow path.
+        P.Syscall("xpmem_attach"), body(8, 16),
+        P.SetFlag(s1, 26), P.SetFlagGroup((g1, g2), 36),
+        # chunk [24, 40): fb's range [40, 50) does not gate it yet.
+        P.WaitFlag(fa, 140), P.WaitFlag(fc, 330),
+        P.CopyBatch((lookup, body(24, 16),
+                     P.SetFlag(s1, 42), P.SetFlagGroup((g1, g2), 52))),
+        # chunk [40, 50): the short tail.
+        P.WaitFlag(fa, 150), P.WaitFlag(fb, 210), P.WaitFlag(fc, 330),
+        P.CopyBatch((lookup, body(40, 10),
+                     P.SetFlag(s1, 52), P.SetFlagGroup((g1, g2), 62))),
+    ]
+
+
+def test_chunk_steps_plain_bodies_and_bare_steps():
+    """Without an endpoint the body is a plain Reduce spliced with the
+    set; a body-less run with one set yields that set bare."""
+    node = fresh_node()
+    sp = node.new_address_space(0, 0)
+    a = sp.alloc("a", 32).whole()
+    b = sp.alloc("b", 32).whole()
+    out = sp.alloc("out", 32).whole()
+    ready = Flag("ready", owner_core=1)
+    done = Flag("done", owner_core=0)
+    reduce = P.ChunkRun(start=0, stop=32, chunk=16,
+                        waits=((ready, 5, 0, 32),),
+                        sets=(((done,), 0),),
+                        reduce=((a, b), out, None, None))
+    assert list(P.chunk_steps(reduce)) == [
+        P.WaitFlag(ready, 21),
+        P.CopyBatch((P.Reduce(srcs=(a.sub(0, 16), b.sub(0, 16)),
+                              dst=out.sub(0, 16)), P.SetFlag(done, 16))),
+        P.WaitFlag(ready, 37),
+        P.CopyBatch((P.Reduce(srcs=(a.sub(16, 16), b.sub(16, 16)),
+                              dst=out.sub(16, 16)), P.SetFlag(done, 32))),
+    ]
+    monitor = P.ChunkRun(start=0, stop=32, chunk=16,
+                         waits=((ready, 5, 0, 32),), sets=(((done,), 0),))
+    assert list(node.engine.chunk_run(monitor)) == [
+        P.WaitFlag(ready, 21), P.SetFlag(done, 16),
+        P.WaitFlag(ready, 37), P.SetFlag(done, 32),
+    ]
