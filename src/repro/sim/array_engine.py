@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import replace
 from typing import Any, Generator, Iterator, Optional
 
 from ..compat import require_numpy
@@ -187,21 +186,24 @@ class ArrayEngine(Engine):
         nchunks = -(-nbytes // run.chunk)
         if run.copy is not None:
             src = run.copy[0]
-            if smsc.chunk_run_lowerable(src):
-                yield from smsc.map_peer(src)
-                yield replace(run, const_cost=smsc.chunk_run_account(
-                    src, nchunks, nbytes))
+            if not smsc.chunk_run_lowerable(src):
+                yield from P.chunk_steps(run, smsc)
                 return
+            yield from smsc.map_peer(src)
+            const = smsc.chunk_run_account(src, nchunks, nbytes)
         else:
             srcs, dst = run.reduce[:2]
-            if smsc.reduce_run_lowerable(srcs, dst):
-                for view in srcs:
-                    yield from smsc.map_peer(view)
-                yield from smsc.map_peer(dst)
-                yield replace(run, const_cost=smsc.reduce_run_account(
-                    srcs, dst, nchunks))
+            if not smsc.reduce_run_lowerable(srcs, dst):
+                yield from P.chunk_steps(run, smsc)
                 return
-        yield from P.chunk_steps(run, smsc)
+            for view in srcs:
+                yield from smsc.map_peer(view)
+            yield from smsc.map_peer(dst)
+            const = smsc.reduce_run_account(srcs, dst, nchunks)
+        # Built positionally: dataclasses.replace costs twice as much, and
+        # every lowered run pays it.
+        yield P.ChunkRun(run.start, run.stop, run.chunk, run.waits,
+                         run.sets, run.copy, run.reduce, const)
 
     # -- dispatch --------------------------------------------------------
 

@@ -231,14 +231,16 @@ def chunk_steps(run: ChunkRun, smsc=None, gated: int = 0) -> Iterator:
     stop = run.stop
     chunk = run.chunk
     waits = run.waits
-    # Per-run constants: one (class, target, base) per announcement, so
-    # the chunk loop builds each set primitive with a single call.
-    sets = tuple((SetFlag, flags[0], base) if len(flags) == 1
-                 else (SetFlagGroup, flags, base)
-                 for flags, base in run.sets)
+    sets = run.sets
     nsets = len(sets)
     if nsets == 1:
-        set_cls, set_target, set_base = sets[0]
+        # The common single announcement, resolved once per run so the
+        # chunk loop builds it with one call.
+        (flags, set_base), = sets
+        if len(flags) == 1:
+            set_cls, set_target = SetFlag, flags[0]
+        else:
+            set_cls, set_target = SetFlagGroup, flags
     announce = ()
     copy = run.copy
     red = run.reduce
@@ -268,8 +270,9 @@ def chunk_steps(run: ChunkRun, smsc=None, gated: int = 0) -> Iterator:
         if nsets == 1:
             announce = (set_cls(set_target, set_base + v),)
         elif nsets:
-            announce = tuple([cls(target, base + v)
-                              for cls, target, base in sets])
+            announce = tuple([SetFlag(flags[0], base + v) if len(flags) == 1
+                              else SetFlagGroup(flags, base + v)
+                              for flags, base in sets])
         if copy is not None:
             s = src.sub(o, n)
             d = dst.sub(o, n)
