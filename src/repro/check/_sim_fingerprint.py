@@ -8,7 +8,7 @@ SIM_VERSION = 3
 
 FINGERPRINT = {
     'sim/engine.py': '116fa72b4a25ec0365cc97248f79273dbd3693f788aea4c26bf7e63cba7d8227',
-    'sim/primitives.py': '1e89881f9692ecc1a93c0d2da052e0a55d7e51c7635396b1fa0d6d24ac81f9b9',
+    'sim/primitives.py': '162022d569036dcf422432b10a2a0521b7929bb48afd4b58f0ca8a4e99616725',
     'sim/syncobj.py': 'f3e692af0fd6c9ed677d06941d87024557a5269695a78101f928e1ccfab4507d',
     'sim/resources.py': '958a15303242ce15ca235ecfd0589496f7730ce7755841373da2d409b5241b0e',
     'node.py': 'c0c9cb622d3a9395d725d557826a1197acd91dd54c8026f60c07bbf3bc957caa',

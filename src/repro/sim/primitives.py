@@ -3,6 +3,7 @@
 A simulated process is a generator; each ``yield`` hands one of these
 objects to the engine, which charges the corresponding simulated time and
 resumes the generator (``AtomicRMW`` sends the pre-increment value back).
+:func:`chunk_steps` expands a pipelined :class:`ChunkRun` into them.
 """
 
 from __future__ import annotations
