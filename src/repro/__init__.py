@@ -46,7 +46,7 @@ from . import obs
 from . import serve
 from . import tune
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # core objects

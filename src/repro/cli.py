@@ -342,7 +342,8 @@ def cmd_figure(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from .tune import COLLECTIVES, ResultCache, tune
+    from .exec.cache import ResultCache
+    from .tune import COLLECTIVES, tune
     from .tune.table import DecisionTable
     import os
 

@@ -1,6 +1,5 @@
-"""Content-addressed cache of simulation results (promoted from
-``repro.tune.cache`` — every entry point shares this store now, not just
-the autotuner; ``repro.tune.cache`` remains as a thin re-export shim).
+"""Content-addressed cache of simulation results, shared by every sweep
+entry point (bench, figures, tune, check, obs, serve).
 
 Every measurement is keyed by a digest of *everything that determines it*:
 system, collective, message size, rank count, iteration counts, the full
@@ -16,10 +15,8 @@ agree on the key of a request.
 
 Persistence is a sharded, one-file-per-entry store
 (:class:`~repro.exec.store.ShardedStore`) under the cache *root*
-directory — the single flat JSON file of earlier versions could not
-survive millions of entries. Passing a legacy ``*.json`` file path still
-works: the root is the file's directory and any flat entries found there
-are migrated into the shards once (idempotently, stamped in the ledger).
+directory; a ``*.json`` path names its containing directory
+(:func:`store_layout`).
 Corrupt or truncated entries are quarantined with a warning and treated
 as misses; writes are atomic (``*.tmp`` + ``os.replace``); the store can
 be size-bounded with LRU eviction (see docs/serving.md).
@@ -59,9 +56,6 @@ SIM_VERSION = 3
 #: underneath it (``objects/v<SIM_VERSION>/<2-hex>/<digest>.json``).
 DEFAULT_CACHE_PATH = os.path.join("results", "cache")
 
-#: Name of the legacy flat cache file (pre-sharding) inside a root.
-LEGACY_FLAT_NAME = "sim_cache.json"
-
 
 def default_cache_path() -> str:
     """The conventional location of the shared result store."""
@@ -75,17 +69,16 @@ def cache_key(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def store_layout(path: str) -> tuple[str, str]:
-    """Resolve a cache path to ``(store root, legacy flat file)``.
+def store_layout(path: str) -> str:
+    """Resolve a cache path to its store root.
 
-    Directory paths are store roots; a ``*.json`` path is the legacy
-    flat-file spelling and maps to its containing directory, so
-    ``results/cache/sim_cache.json`` and ``results/cache`` name the same
-    store.
+    Directory paths are store roots; a ``*.json`` path maps to its
+    containing directory, so ``results/tuned/cache.json`` and
+    ``results/tuned`` name the same store.
     """
     if path.endswith(".json"):
-        return os.path.dirname(path) or ".", path
-    return path, os.path.join(path, LEGACY_FLAT_NAME)
+        return os.path.dirname(path) or "."
+    return path
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,10 +107,8 @@ class CacheStats:
 class ResultCache:
     """A persistent {digest: latency} store with hit/miss accounting.
 
-    The API is unchanged from the flat-file era — ``get``/``put`` by
-    payload, ``save()``, ``len()`` — so exec/tune callers are untouched;
-    only the on-disk layout moved to sharded per-entry files, and
-    ``flush()`` persists without deriving the ledger. ``len()``
+    ``get``/``put`` by payload; ``flush()`` persists the new entries,
+    ``save()`` also derives the store ledger. ``len()``
     and lookups cover the *current* ``SIM_VERSION`` generation only;
     stale generations are invisible (and reclaimed by eviction).
     """
@@ -132,11 +123,9 @@ class ResultCache:
         self.misses = 0
         self.store: ShardedStore | None = None
         if self.path:
-            root, legacy_flat = store_layout(self.path)
-            self.store = ShardedStore(root, max_entries=max_entries,
+            self.store = ShardedStore(store_layout(self.path),
+                                      max_entries=max_entries,
                                       max_bytes=max_bytes)
-            if os.path.isfile(legacy_flat):
-                self.store.migrate_flat(legacy_flat)
 
     def __len__(self) -> int:
         if self.store is None:

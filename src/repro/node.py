@@ -31,7 +31,7 @@ from .errors import ConfigError, SimulationError
 from .memory.address_space import AddressSpace, Buffer, BufView
 from .memory.cache import CacheKind, CacheLevel, CacheSystem
 from .memory.model import MachineModel, PAGE_SIZE, model_for
-from .options import UNSET, RunOptions, resolve_options
+from .options import DEFAULT_OPTIONS, RunOptions
 from .sim import primitives as P
 from .sim.engine import Engine
 from .sim.resources import Resource, ResourcePool
@@ -46,9 +46,7 @@ class Node:
     """Simulated machine + pricing rules.
 
     Run behavior is configured through one ``options=RunOptions(...)``
-    argument; the historical per-concern keywords (``data_movement=``,
-    ``record_copies=``, ``observe=``, ``check=``) still work but emit a
-    single ``DeprecationWarning`` per call (docs/api.md).
+    argument (docs/api.md).
     """
 
     # Test hook: class-level switch that disables the pricing memo (every
@@ -67,15 +65,9 @@ class Node:
         topo: Topology,
         model: MachineModel | None = None,
         options: RunOptions | None = None,
-        *,
-        data_movement=UNSET,
-        record_copies=UNSET,
-        observe=UNSET,
-        check=UNSET,
     ) -> None:
-        options = resolve_options(
-            options, caller="Node", data_movement=data_movement,
-            record_copies=record_copies, observe=observe, check=check)
+        if options is None:
+            options = DEFAULT_OPTIONS
         self.topo = topo
         self.model = model if model is not None else model_for(topo)
         self.caches = CacheSystem(topo, self.model)
@@ -85,8 +77,8 @@ class Node:
         if options.engine == "array":
             if options.instrumented:
                 raise ConfigError(
-                    'engine="array" is incompatible with observe/check/'
-                    'record_copies: instrumentation hooks are per-event, '
+                    'engine="array" is incompatible with observe/check: '
+                    'instrumentation hooks are per-event, '
                     'which is exactly what array mode elides — run the '
                     'event engine for instrumented runs (docs/performance.md)'
                 )
@@ -95,8 +87,8 @@ class Node:
             from .sim.array_engine import ArrayEngine
             self.engine: Engine = ArrayEngine(self)
         else:
-            self.engine = Engine(self, record_copies=options.record_copies,
-                                 observe=options.observe, check=options.check)
+            self.engine = Engine(self, observe=options.observe,
+                                 check=options.check)
         # Core-pair distance cache. Distance is a pure function of the
         # topology, so the cache lives *on the topology object* and is
         # shared by every Node built over it (the exec worker pool keeps
@@ -160,13 +152,14 @@ class Node:
     @property
     def obs(self):
         """The engine's observer (:data:`repro.obs.NULL_OBSERVER` unless
-        constructed with ``observe=...``)."""
+        constructed with ``RunOptions(observe=...)``)."""
         return self.engine.obs
 
     @property
     def check_report(self):
         """Sanitizer findings so far (:class:`repro.check.CheckReport`;
-        empty unless constructed with ``check='race'`` or ``'full'``)."""
+        empty unless constructed with ``RunOptions(check='race')`` or
+        ``'full'``)."""
         from .check.report import CheckReport
         checker = self.engine.checker
         return checker.report() if checker is not None else CheckReport()

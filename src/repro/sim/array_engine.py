@@ -52,9 +52,9 @@ point in tests/golden/ and discussed in docs/performance.md. Array runs
 are fully deterministic and the engine name is part of the result-cache
 key.
 
-Instrumentation (``observe``/``check``/``record_copies``) is per-event
-by nature and refused up front (``Node`` raises ``ConfigError``);
-``run(until=...)`` is likewise unsupported.
+Instrumentation (``observe``/``check``) is per-event by nature and
+refused up front (``Node`` raises ``ConfigError``); ``run(until=...)``
+is likewise unsupported.
 """
 
 from __future__ import annotations
@@ -101,8 +101,7 @@ class ArrayEngine(Engine):
         # and the accumulation marker before Engine.__init__ assigns it.
         self._now = 0.0
         self._acc_proc: Optional[SimProcess] = None
-        super().__init__(pricer, record_copies=False, observe=None,
-                         check=None)
+        super().__init__(pricer, observe=None, check=None)
         self._np = require_numpy("ArrayEngine")
         # Dispatch heap: (virtual time, seq, process).
         self._ready: list[tuple] = []

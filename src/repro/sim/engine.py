@@ -25,8 +25,9 @@ Event-loop layout (see docs/performance.md): heap entries are
 :class:`SimProcess` — a process payload means "resume with ``None``",
 which covers the overwhelming majority of events without allocating a
 closure per event. Handler dispatch goes through one of two tables:
-``_HANDLERS`` carries the observe/race/record hooks, ``_HANDLERS_FAST``
-is the branch-free variant selected when all of those are off.
+``_HANDLERS`` carries the observe/race/deadlock hooks,
+``_HANDLERS_FAST`` is the branch-free variant selected when all of those
+are off.
 """
 
 from __future__ import annotations
@@ -115,17 +116,16 @@ class Engine:
       ``Trace`` annotations; the hot paths run the branch-free fast
       handler table.
     * ``True`` / ``"full"`` — attach an :class:`~repro.obs.spans.Observer`
-      recording spans, waits (with wakers), copy spans and metrics; also
-      enables the legacy per-copy trace records.
+      recording spans, waits (with wakers), copy spans and metrics.
     * ``"spans"`` — spans/waits/metrics without per-copy spans (lower
       volume for long runs).
     * an :class:`Observer` instance — bring your own (rebound to this
       engine).
 
-    ``record_copies`` is the legacy subset (completion records in
-    ``engine.trace`` for :class:`repro.sim.trace.Timeline`); it grows the
-    trace list by one tuple per transfer, so leave it (and ``observe``)
-    off for large sweeps — overhead numbers are in docs/observability.md.
+    ``engine.trace`` holds only the :class:`~repro.sim.primitives.Trace`
+    annotations (one ``"message"`` per logical transfer); per-copy records
+    are ``"full"`` observer spans. Leave ``observe`` off for large sweeps
+    — overhead numbers are in docs/observability.md.
 
     Correctness checking is opt-in through the ``check`` knob, mirroring
     ``observe``:
@@ -146,7 +146,7 @@ class Engine:
     #: this to ``"array"``. Matches ``RunOptions.engine``.
     engine_kind = "event"
 
-    def __init__(self, pricer, record_copies: bool = False,
+    def __init__(self, pricer,
                  observe: "bool | str | Observer | None" = None,
                  check: "bool | str | None" = None) -> None:
         self.pricer = pricer
@@ -155,7 +155,6 @@ class Engine:
         self._heap: list[tuple] = []
         self.processes: list[SimProcess] = []
         self.trace: list[tuple[float, str, dict]] = []
-        self.record_copies = record_copies
         self.events_processed = 0
         self._running = False
         self._current_proc: SimProcess | None = None
@@ -176,8 +175,6 @@ class Engine:
                 f"'full', 'spans' or an Observer"
             )
         self._observe = self.obs.enabled
-        if self._observe and self.obs.record_copies:
-            self.record_copies = True
         if check is True:
             check = "full"
         if check is None or check is False:
@@ -217,8 +214,7 @@ class Engine:
 
     def _pick_handlers(self) -> dict:
         """The fast table only when every per-event hook is off."""
-        if (self._observe or self._race or self._dl_proactive
-                or self.record_copies):
+        if self._observe or self._race or self._dl_proactive:
             return self._HANDLERS
         return self._HANDLERS_FAST
 
@@ -447,7 +443,7 @@ class Engine:
     # changing set of concurrent users (approximate fluid fair sharing).
     COPY_QUANTUM = 64 * 1024
 
-    # -- copy: full path (observe/race/record hooks live here) -------------
+    # -- copy: full path (observe/race/deadlock hooks live here) -----------
 
     def _h_copy(self, proc: SimProcess, prim: P.Copy) -> None:
         self._full_copy(proc, prim, None)
@@ -492,16 +488,10 @@ class Engine:
                 complete()
             if done + n < total:
                 self._copy_quantum(proc, prim, done + n, then)
+            elif then is None:
+                self._resume(proc, None)
             else:
-                if self.record_copies:
-                    self.trace.append(
-                        (self.now, "copy",
-                         {"core": proc.core, "nbytes": total})
-                    )
-                if then is None:
-                    self._resume(proc, None)
-                else:
-                    then()
+                then()
 
         if self._observe and self.obs.record_copies:
             self.obs.record(proc, "copy", "copy", start, start + duration,
@@ -543,11 +533,6 @@ class Engine:
                 pool.kernel_ops -= 1
             if complete is not None:
                 complete()
-            if self.record_copies:
-                self.trace.append(
-                    (self.now, "copy",
-                     {"core": proc.core, "nbytes": prim.nbytes})
-                )
             if then is None:
                 self._resume(proc, None)
             else:
@@ -563,7 +548,7 @@ class Engine:
             begin()
         self._schedule(start + duration, finish)
 
-    # -- copy: fast path (observe/check/record all off) ---------------------
+    # -- copy: fast path (observe/check both off) ---------------------------
     #
     # Identical event schedule and pricing calls to the full path, minus
     # the per-event hook branches and per-quantum Copy/BufView allocations.

@@ -2,16 +2,19 @@
 
 Collects per-core busy time, event counts by primitive kind, flag traffic
 and XPMEM counters into one report — the first thing to look at when a
-collective is slower than expected. On an observed run (``Node(...,
-observe=True)``) the report also carries the full metrics-registry
-snapshot, so every counter any subsystem registered rides along without
-this module having to know about it.
+collective is slower than expected. On an observed run
+(``Node(..., options=RunOptions(observe=True))``) the report also
+carries the full metrics-registry snapshot, so every counter any
+subsystem registered rides along without this module having to know
+about it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
+
+from .trace import messages
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..node import Node
@@ -87,7 +90,7 @@ def collect_stats(node: "Node") -> RunStats:
     """Snapshot the node's engine/transport counters."""
     engine = node.engine
     busy = dict(engine._core_busy)
-    msgs = [m for _t, label, m in engine.trace if label == "message"]
+    msgs = messages(engine)
     done = sum(1 for p in engine.processes
                if p.finish_time is not None)
     waits: dict[str, float] = {}

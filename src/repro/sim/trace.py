@@ -1,22 +1,22 @@
-"""Trace analysis: message accounting, timelines, utilization.
+"""Trace analysis: message accounting and resource utilization.
 
 The engine records zero-cost :class:`~repro.sim.primitives.Trace` events
-(collectives emit one ``"message"`` per logical transfer) and, with
-``record_copies=True``, every completed copy. This module turns those
-records into the reports the paper's methodology needs:
+(collectives emit one ``"message"`` per logical transfer). This module
+turns those records into the reports the paper's methodology needs:
 
-* :func:`message_matrix` / :func:`count_message_distances` — the Table II
+* :func:`messages` / :func:`count_message_distances` — the Table II
   analysis, for any run;
-* :class:`Timeline` — per-rank activity spans, renderable as a text Gantt
-  chart for debugging pipelining behaviour;
 * :func:`resource_report` — peak concurrency and bytes served per
   contention point (which link actually bottlenecked).
+
+Per-copy activity and blocked time live elsewhere: ``observe="full"``
+observer spans (:mod:`repro.obs`) and
+:attr:`repro.sim.stats.RunStats.wait_breakdown`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..topology.distance import message_distance_label
@@ -29,14 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover
 def messages(engine: "Engine") -> list[dict]:
     """All logical-message records of a run."""
     return [meta for _t, label, meta in engine.trace if label == "message"]
-
-
-def message_matrix(engine: "Engine", nranks: int) -> list[list[int]]:
-    """matrix[src][dst] = number of logical messages sent."""
-    matrix = [[0] * nranks for _ in range(nranks)]
-    for meta in messages(engine):
-        matrix[meta["src_rank"]][meta["dst_rank"]] += 1
-    return matrix
 
 
 def count_message_distances(node: "Node",
@@ -58,84 +50,6 @@ def count_message_distances(node: "Node",
             seen.add(key)
         counts[message_distance_label(topo, meta["src"], meta["dst"])] += 1
     return dict(counts)
-
-
-def bytes_by_distance(node: "Node") -> dict[str, int]:
-    """Total logical-message payload per distance class."""
-    topo = node.topo
-    out: Counter = Counter()
-    for meta in messages(node.engine):
-        label = message_distance_label(topo, meta["src"], meta["dst"])
-        out[label] += meta.get("nbytes", 0)
-    return dict(out)
-
-
-@dataclass
-class Span:
-    start: float
-    end: float
-    label: str
-
-
-@dataclass
-class Timeline:
-    """Per-core activity spans assembled from copy records."""
-
-    spans: dict[int, list[Span]] = field(default_factory=dict)
-    end_time: float = 0.0
-
-    @classmethod
-    def from_engine(cls, engine: "Engine") -> "Timeline":
-        """Build from copy records (requires ``record_copies=True``)."""
-        tl = cls()
-        for t, label, meta in engine.trace:
-            if label != "copy":
-                continue
-            core = meta["core"]
-            tl.spans.setdefault(core, []).append(
-                Span(start=t, end=t, label=f"{meta['nbytes']}B")
-            )
-            tl.end_time = max(tl.end_time, t)
-        return tl
-
-    def busy_events(self, core: int) -> int:
-        return len(self.spans.get(core, []))
-
-    def render(self, width: int = 72, cores: list[int] | None = None) -> str:
-        """A coarse text Gantt: one row per core, '#' where copies landed."""
-        if not self.spans or self.end_time <= 0:
-            return "(no copy records; run with record_copies=True)"
-        rows = []
-        selected = sorted(self.spans) if cores is None else cores
-        for core in selected:
-            cells = [" "] * width
-            for span in self.spans.get(core, []):
-                idx = min(width - 1, int(width * span.start / self.end_time))
-                cells[idx] = "#"
-            rows.append(f"core {core:4d} |{''.join(cells)}|")
-        return "\n".join(rows)
-
-
-def wait_report(engine: "Engine", top: int = 10) -> list[dict]:
-    """Where ranks spent their blocked time, aggregated by wait family.
-
-    Keys are the interned ``wait_key`` families computed once at sync-
-    object creation (``flag xhc.avail``, rank suffixes stripped by
-    :func:`~repro.sim.syncobj.wait_group`), so every rank's wait on the
-    same flag family lands in one row — no per-block string formatting in
-    the engine, and no duplicate rows differing only by rank suffix.
-
-    The first diagnostic for "why is this collective slow": a dominant
-    ``xhc.avail`` entry means ranks starve on fan-out progress, a dominant
-    ``p2p.fin`` means senders stall on rendezvous completion, etc.
-    """
-    agg: dict[str, float] = {}
-    for proc in engine.processes:
-        for key, t in proc.wait_breakdown.items():
-            agg[key] = agg.get(key, 0.0) + t
-    out = [{"target": k, "total_wait_s": v} for k, v in agg.items()]
-    out.sort(key=lambda r: -r["total_wait_s"])
-    return out[:top]
 
 
 def resource_report(node: "Node") -> list[dict]:

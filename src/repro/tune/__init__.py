@@ -10,14 +10,12 @@ those choices instead:
    using the :mod:`repro.analysis.loggp` closed forms;
 3. :mod:`~repro.tune.evaluate` simulates the survivors through the
    shared :class:`repro.exec.Executor` (parallel, behind the repo-wide
-   content-addressed cache; :mod:`~repro.tune.cache` is a compatibility
-   shim over :mod:`repro.exec.cache`);
+   content-addressed :class:`repro.exec.ResultCache`);
 4. :mod:`~repro.tune.table` persists the winners as a JSON decision
    table that :class:`repro.mpi.colls.tunedxhc.TunedXhc` dispatches from
    at run time.
 """
 
-from .cache import SIM_VERSION, ResultCache, cache_key
 from .evaluate import Evaluator, measurement_request, simulate_payload
 from .prune import estimate_cost, prune
 from .space import (PAPER_DEFAULT, config_from_dict, config_to_dict,
@@ -27,7 +25,7 @@ from .tuner import (COLLECTIVES, QUICK_SIZES, SWEEP_SIZES, TunePoint,
                     TuneResult, tune)
 
 __all__ = [
-    "SIM_VERSION", "ResultCache", "cache_key", "Evaluator",
+    "Evaluator",
     "measurement_request", "simulate_payload",
     "estimate_cost", "prune", "PAPER_DEFAULT", "config_from_dict",
     "config_to_dict", "generate_space", "hierarchy_candidates",

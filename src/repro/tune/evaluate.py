@@ -27,13 +27,6 @@ def measurement_request(system: str, collective: str, size: int, nranks: int,
                       config=config_to_dict(cfg), **iters)
 
 
-def measurement_payload(system: str, collective: str, size: int, nranks: int,
-                        cfg: XhcConfig, iters: dict) -> dict:
-    """Deprecated alias: the cache payload of :func:`measurement_request`."""
-    return measurement_request(system, collective, size, nranks, cfg,
-                               iters).payload()
-
-
 def simulate_payload(payload: dict) -> float:
     """Run one measurement described by a request payload (inline)."""
     from ..exec.worker import execute

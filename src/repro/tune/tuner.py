@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..exec.cache import ResultCache
 from ..memory.model import model_for
 from ..topology import get_system
 from ..xhc.config import XhcConfig
-from .cache import ResultCache
 from .evaluate import EVAL_ITERS, QUICK_ITERS, Evaluator
 from .prune import DEFAULT_KEEP, DEFAULT_MARGIN, prune
 from .space import PAPER_DEFAULT, config_to_dict, generate_space

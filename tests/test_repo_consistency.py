@@ -66,3 +66,11 @@ def test_public_modules_have_docstrings():
                  "repro.validate", "repro.cli"):
         mod = importlib.import_module(name)
         assert mod.__doc__ and len(mod.__doc__.strip()) > 30, name
+
+
+def test_package_version_matches_pyproject():
+    import repro
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert match, "pyproject.toml names no project version"
+    assert match.group(1) == repro.__version__

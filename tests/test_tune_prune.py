@@ -7,11 +7,12 @@ silently encode the analytic model's blind spots.
 
 import pytest
 
+from repro.exec.cache import ResultCache
 from repro.memory.model import model_for
 from repro.topology import get_system
-from repro.tune import (Evaluator, ResultCache, estimate_cost, prune, tune)
-from repro.tune.evaluate import QUICK_ITERS, measurement_payload, \
-    simulate_payload
+from repro.tune import Evaluator, estimate_cost, prune, tune
+from repro.tune.evaluate import (QUICK_ITERS, measurement_request,
+                                 simulate_payload)
 from repro.tune.space import PAPER_DEFAULT
 from repro.tune.table import DecisionTable
 from repro.xhc import XhcConfig
@@ -31,8 +32,8 @@ GRID = [
 
 
 def simulate(cfg, system="epyc-1p", collective="bcast"):
-    return simulate_payload(measurement_payload(
-        system, collective, SIZE, NRANKS, cfg, QUICK_ITERS))
+    return simulate_payload(measurement_request(
+        system, collective, SIZE, NRANKS, cfg, QUICK_ITERS).payload())
 
 
 @pytest.mark.parametrize("collective", ["bcast", "allreduce"])
